@@ -4,6 +4,7 @@ attack classes, maximum-damage exploration, scale sensitivity.
 These go beyond the paper's figures (see DESIGN.md §7).
 """
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments.ablations import (
     capacity_ablation,
     holddown_ablation,
@@ -12,29 +13,35 @@ from repro.experiments.ablations import (
     scale_sensitivity,
     stale_comparison,
 )
-from repro.experiments.max_damage import _max_damage_experiment
+from repro.experiments.max_damage import MaxDamageSpec
 from repro.experiments.scenarios import Scale
+
+
+def sr(result, **coords):
+    """The SR attack-window failure rate of one cell."""
+    return result.cell(**coords).sr_attack_failure_rate
 
 
 def bench_mechanism_ablation(run_once, scenario, record_artifact):
     result = run_once(mechanism_ablation, scenario)
     record_artifact("ablation_mechanisms", result.render())
-    assert result.sr_rate("combination") <= result.sr_rate("vanilla")
-    assert result.sr_rate("refresh + renew") <= result.sr_rate("refresh only")
+    assert sr(result, scheme="combination") <= sr(result, scheme="vanilla")
+    assert sr(result, scheme="refresh + renew") <= \
+        sr(result, scheme="refresh only")
 
 
 def bench_stale_comparator(run_once, scenario, record_artifact):
     result = run_once(stale_comparison, scenario)
     record_artifact("comparator_serve_stale", result.render())
-    assert result.sr_rate("serve-stale") <= result.sr_rate("vanilla")
+    assert sr(result, scheme="serve-stale") <= sr(result, scheme="vanilla")
 
 
 def bench_other_attack_classes(run_once, scenario, record_artifact):
     result = run_once(other_attack_classes, scenario)
     record_artifact("other_attack_classes", result.render())
     # Single-zone attacks have bounded blast radius vs root+TLD attacks.
-    for label, sr, _, _ in result.rows:
-        assert sr < 0.35, label
+    for point, cell in zip(result.points(), result.cells):
+        assert cell.sr_attack_failure_rate < 0.35, point
 
 
 def bench_cache_capacity(run_once, scenario, record_artifact):
@@ -42,10 +49,10 @@ def bench_cache_capacity(run_once, scenario, record_artifact):
     record_artifact("ablation_capacity", result.render())
     # Generous caches preserve the combination's resilience; starved
     # caches thrash back toward (or past) vanilla levels.
-    assert result.sr_rate("combination / 4x zones") <= \
-        result.sr_rate("combination / 1x zones") + 0.01
-    assert result.sr_rate("combination / 1x zones") <= \
-        result.sr_rate("combination / 0.25x zones") + 0.01
+    assert sr(result, scheme="combination / 4x zones") <= \
+        sr(result, scheme="combination / 1x zones") + 0.01
+    assert sr(result, scheme="combination / 1x zones") <= \
+        sr(result, scheme="combination / 0.25x zones") + 0.01
 
 
 def bench_holddown(run_once, scenario, record_artifact):
@@ -53,20 +60,24 @@ def bench_holddown(run_once, scenario, record_artifact):
     record_artifact("ablation_holddown", result.render())
     # Hold-down slashes failed-query volume without changing outcomes
     # much: compare total messages, not failure rates.
-    rows = {label: messages for label, _, _, messages in result.rows}
-    assert rows["vanilla + holddown 10m"] < rows["vanilla"]
+    messages = dict(zip(result.axes["scheme"],
+                        result.values("total_outgoing")))
+    assert messages["vanilla + holddown 10m"] < messages["vanilla"]
 
 
 def bench_max_damage(run_once, scenario, record_artifact):
-    result = run_once(_max_damage_experiment, scenario)
+    result = run_once(
+        EXPERIMENTS["maxdamage"].run,
+        MaxDamageSpec(scale=scenario.scale, seed=scenario.seed),
+    )
     record_artifact("max_damage", result.render())
-    assert result.rate_of("greedy (oracle)", "vanilla") >= \
-        result.rate_of("random", "vanilla")
+    assert sr(result, strategy="greedy (oracle)", scheme="vanilla") >= \
+        sr(result, strategy="random", scheme="vanilla")
 
 
 def bench_scale_sensitivity(run_once, record_artifact):
     result = run_once(scale_sensitivity, scales=(Scale.TINY, Scale.SMALL))
     record_artifact("scale_sensitivity", result.render())
     # Vanilla failure rates should be in the same ballpark across scales.
-    vanilla = [sr for scale, scheme, sr, _ in result.rows if scheme == "vanilla"]
+    vanilla = result.where(scheme="vanilla").values("sr_attack_failure_rate")
     assert max(vanilla) < 3.5 * min(vanilla)

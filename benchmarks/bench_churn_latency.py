@@ -8,9 +8,10 @@ These quantify two §4 claims the paper argues but does not plot:
   `bench_latency`.
 """
 
-from repro.experiments.churn import ChurnSpec
+from repro.experiments import EXPERIMENTS
+from repro.experiments.churn import ChurnSpec, obsolete_hits
 from repro.experiments.churn import run as run_churn_experiment
-from repro.experiments.latency import _latency_experiment
+from repro.experiments.latency import LatencySpec, per_lookup
 from repro.hierarchy.builder import HierarchyConfig
 from repro.workload.generator import WorkloadConfig
 
@@ -27,16 +28,20 @@ def bench_churn(run_once, record_artifact):
         ),
     )
     record_artifact("churn", result.render())
-    for row in result.rows:
-        assert row.sr_failure_rate < 0.005, row.label
-    assert result.row("refresh+ttl7d").stale_touches >= \
-        result.row("vanilla").stale_touches
+    for row in result.cells:
+        assert row.metrics.sr_failure_rate < 0.005, row.label
+    assert obsolete_hits(result.cell(scheme="refresh+ttl7d")) >= \
+        obsolete_hits(result.cell(scheme="vanilla"))
 
 
 def bench_latency(run_once, scenario, record_artifact):
-    result = run_once(_latency_experiment, scenario)
+    result = run_once(
+        EXPERIMENTS["latency"].run,
+        LatencySpec(scale=scenario.scale, seed=scenario.seed),
+    )
     record_artifact("latency", result.render())
-    assert result.row("refresh+ttl7d").mean_latency <= \
-        result.row("vanilla").mean_latency
-    assert result.row("combination").cs_queries_per_lookup <= \
-        result.row("vanilla").cs_queries_per_lookup
+    assert result.cell(scheme="refresh+ttl7d").mean_latency <= \
+        result.cell(scheme="vanilla").mean_latency
+    assert per_lookup(result.where(scheme="combination"),
+                      "cs_demand_queries") <= \
+        per_lookup(result.where(scheme="vanilla"), "cs_demand_queries")

@@ -23,7 +23,8 @@ def bench_dnssec(run_once, record_artifact):
         ),
     )
     record_artifact("dnssec", result.render())
-    assert result.row("vanilla+dnssec").sr_failure_rate > \
-        result.row("vanilla").sr_failure_rate
-    assert result.row("combo+a-lfu3+ttl3d+dnssec").sr_failure_rate < \
-        result.row("vanilla+dnssec").sr_failure_rate / 5
+    def sr(scheme):
+        return result.cell(scheme=scheme).sr_attack_failure_rate
+
+    assert sr("vanilla+dnssec") > sr("vanilla")
+    assert sr("combo+a-lfu3+ttl3d+dnssec") < sr("vanilla+dnssec") / 5

@@ -1,16 +1,17 @@
 """Bench F10 — regenerate Figure 10 (refresh + long IRR TTLs, 1-7 days)."""
 
 from repro.experiments import figures
+from repro.experiments.attack_grid import column_mean
 
 
 def bench_figure10(run_once, scenario, record_artifact):
     grid = run_once(figures.figure10, scenario)
     record_artifact("figure10", grid.render())
     # Longer TTLs help monotonically...
-    assert grid.column_mean_sr("7 Day TTL") <= grid.column_mean_sr("1 Day TTL") + 0.01
+    assert column_mean(grid, "7 Day TTL") <= column_mean(grid, "1 Day TTL") + 0.01
     # ...but 5 days is already nearly as good as 7 (gap CDF saturation).
-    five = grid.column_mean_sr("5 Day TTL")
-    seven = grid.column_mean_sr("7 Day TTL")
+    five = column_mean(grid, "5 Day TTL")
+    seven = column_mean(grid, "7 Day TTL")
     assert abs(five - seven) < 0.02
     # And the scheme crushes vanilla.
-    assert grid.column_mean_sr("5 Day TTL") < 0.5 * grid.column_mean_sr("DNS")
+    assert column_mean(grid, "5 Day TTL") < 0.5 * column_mean(grid, "DNS")

@@ -8,7 +8,7 @@ def bench_figure12(run_once, scenario, record_artifact):
     text = result.render()
     # Also dump the raw zone/record series for plotting.
     series_lines = []
-    for label, series in result.series.items():
+    for label, series in figures.memory_series(result).items():
         points = ", ".join(
             f"({day:.2f}, {records})"
             for day, records in series.records_series()[::4]
@@ -19,9 +19,10 @@ def bench_figure12(run_once, scenario, record_artifact):
     # Paper shapes: enhanced schemes cache ~2-3x the objects of vanilla
     # DNS, and the absolute footprint stays tiny (tens of MB at paper
     # scale; well under that here).
-    for label, ratio in result.occupancy_ratios.items():
+    for label in result.axes["scheme"]:
         if label == "DNS":
             continue
+        ratio = figures.occupancy_ratio(result, label)
         assert 1.0 <= ratio < 8.0, (label, ratio)
-    combo = result.occupancy_ratios["Combination"]
+    combo = figures.occupancy_ratio(result, "Combination")
     assert combo > 1.2

@@ -1,6 +1,7 @@
 """Bench F7 — regenerate Figure 7 (refresh + LFU renewal, credits 1/3/5)."""
 
 from repro.experiments import figures
+from repro.experiments.attack_grid import column_mean
 
 TRACE_LIMIT = 3
 
@@ -8,5 +9,5 @@ TRACE_LIMIT = 3
 def bench_figure7(run_once, scenario, record_artifact):
     grid = run_once(figures.figure7, scenario, trace_limit=TRACE_LIMIT)
     record_artifact("figure7", grid.render())
-    assert grid.column_mean_sr("LFU 5") <= grid.column_mean_sr("LFU 1") + 0.01
-    assert grid.column_mean_sr("LFU 3") < grid.column_mean_sr("DNS")
+    assert column_mean(grid, "LFU 5") <= column_mean(grid, "LFU 1") + 0.01
+    assert column_mean(grid, "LFU 3") < column_mean(grid, "DNS")

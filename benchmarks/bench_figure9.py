@@ -5,6 +5,7 @@ failures < 10 %, an order of magnitude better than vanilla DNS.
 """
 
 from repro.experiments import figures
+from repro.experiments.attack_grid import column_mean
 
 TRACE_LIMIT = 3
 
@@ -12,9 +13,9 @@ TRACE_LIMIT = 3
 def bench_figure9(run_once, scenario, record_artifact):
     grid = run_once(figures.figure9, scenario, trace_limit=TRACE_LIMIT)
     record_artifact("figure9", grid.render())
-    vanilla = grid.column_mean_sr("DNS")
-    best = grid.column_mean_sr("A-LFU 5")
+    vanilla = column_mean(grid, "DNS")
+    best = column_mean(grid, "A-LFU 5")
     # Paper headline: one order of magnitude improvement; SR < 2.5 %.
     assert best < vanilla / 8
     assert best < 0.025
-    assert grid.column_mean_cs("A-LFU 5") < 0.10
+    assert column_mean(grid, "A-LFU 5", "cs") < 0.10

@@ -6,13 +6,13 @@ Success = per-scheme agreement within tens of percent AND the right
 scheme ordering.
 """
 
-from repro.experiments.model_validation import model_validation
+from repro.experiments.model_validation import model_validation, relative_error
 
 
 def bench_model_validation(run_once, scenario, record_artifact):
     result = run_once(model_validation, scenario)
     record_artifact("model_validation", result.render())
-    for row in result.rows:
-        assert row.relative_error < 0.35, row.scheme
-    predicted = [row.predicted for row in result.rows]
+    for scheme, cell in zip(result.axes["scheme"], result.cells):
+        assert relative_error(cell) < 0.35, scheme
+    predicted = [cell["predicted"] for cell in result.cells]
     assert predicted == sorted(predicted)

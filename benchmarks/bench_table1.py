@@ -7,6 +7,6 @@ def bench_table1(run_once, scenario, record_artifact):
     result = run_once(figures.table1, scenario)
     record_artifact("table1", result.render())
     # Sanity: caching keeps outbound traffic in the order of inbound.
-    for row in result.rows:
+    for row in result.cells:
         assert row.requests_out is not None
         assert row.requests_out < 1.5 * row.requests_in

@@ -17,7 +17,7 @@ from repro.analysis.overhead import MemoryOverheadSeries
 
 if TYPE_CHECKING:  # imported for annotations only: avoids a cycle with
     # repro.experiments, which imports this module for CSV export.
-    from repro.experiments.attack_grid import FailureGrid
+    from repro.experiments.sweep import Grid
 
 
 def write_csv(
@@ -41,25 +41,23 @@ def csv_text(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return buffer.getvalue()
 
 
-def failure_grid_rows(grid: "FailureGrid") -> tuple[tuple[str, ...], list[tuple]]:
-    """Flatten a :class:`~repro.experiments.attack_grid.FailureGrid`.
+def failure_grid_rows(grid: "Grid") -> tuple[tuple[str, ...], list[tuple]]:
+    """Flatten a Figures 4-11 failure grid (``trace`` × ``column``).
 
-    One row per (trace, column): trace, column, sr_rate, cs_rate.
+    One row per cell: trace, column, sr_rate, cs_rate; a missing (None)
+    cell is skipped.
     """
     headers = ("trace", "column", "sr_failure_rate", "cs_failure_rate")
-    rows: list[tuple] = []
-    for trace_name, cells in grid.sr.items():
-        for column in grid.columns:
-            if column not in cells:
-                continue
-            rows.append(
-                (
-                    trace_name,
-                    column,
-                    f"{cells[column]:.6f}",
-                    f"{grid.cs[trace_name][column]:.6f}",
-                )
-            )
+    rows: list[tuple] = [
+        (
+            point["trace"],
+            point["column"],
+            f"{cell.sr_attack_failure_rate:.6f}",
+            f"{cell.cs_attack_failure_rate:.6f}",
+        )
+        for point, cell in zip(grid.points(), grid.cells)
+        if cell is not None
+    ]
     return headers, rows
 
 

@@ -248,10 +248,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _export_figure_csv(number: int, result: Any, path: str) -> None:
     if number == 3:
         headers, rows = csv_export.cdf_rows(
-            result.cdf_days, figures.GAP_DAY_POINTS
+            figures.gap_cdfs(result)[0], figures.GAP_DAY_POINTS
         )
     elif number == 12:
-        headers, rows = csv_export.memory_series_rows(result.series)
+        headers, rows = csv_export.memory_series_rows(
+            figures.memory_series(result)
+        )
     else:
         headers, rows = csv_export.failure_grid_rows(result)
     csv_export.write_csv(path, headers, rows)

@@ -1,15 +1,22 @@
-"""Experiment harness: scenarios, replays, and one module per paper artifact.
+"""Experiment harness: scenarios, replays, the sweep engine, one module
+per experiment.
 
 * :mod:`repro.experiments.scenarios` -- scale presets and the standard
   setup (hierarchy + TRC1..TRC6 traces) shared by every experiment.
 * :mod:`repro.experiments.harness` -- trace replay with optional attack,
   gap tracking, memory sampling and observability hooks.
-* :mod:`repro.experiments.attack_grid` -- the Figures 4-11 grids.
-* :mod:`repro.experiments.table1` / :mod:`~repro.experiments.table2` /
-  :mod:`~repro.experiments.figure3` / :mod:`~repro.experiments.figure12`
-  -- the remaining artifacts.
-* :mod:`repro.experiments.max_damage` -- the paper §6 maximum-damage
-  attack explorer (extension).
+* :mod:`repro.experiments.parallel` -- the batch runner
+  (:func:`~repro.experiments.parallel.run_replays`) that fans replays
+  over worker processes.
+* :mod:`repro.experiments.sweep` -- the sweep engine every experiment is
+  written in: named axes -> one ``run_replays`` batch -> a coordinate-
+  keyed :class:`~repro.experiments.sweep.Grid` -> text tables.
+* :mod:`repro.experiments.figures` -- the paper's Tables 1-2 and
+  Figures 3-12 (the Figures 4-11 grids come from
+  :mod:`repro.experiments.attack_grid`).
+* :mod:`repro.experiments.ablations`, :mod:`~repro.experiments.fleet`,
+  :mod:`~repro.experiments.model_validation` -- extension experiments
+  driven by the benches.
 
 The ``EXPERIMENTS`` table is the registry of extension experiments: one
 :class:`~repro.experiments.registry.ExperimentDef` per experiment, each

@@ -14,116 +14,92 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.dns.name import Name
-from repro.experiments.harness import AttackSpec, run_replay
+from repro.experiments.harness import AttackSpec
 from repro.experiments.max_damage import upcoming_query_counts
+from repro.experiments.parallel import ReplaySpec
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
+from repro.experiments.sweep import Column, Grid, Sweep, Table, coord, percent
 
 HOUR = 3600.0
 
-
-@dataclass
-class AblationResult:
-    """Rows of (label, SR failure, CS failure, message count)."""
-
-    title: str
-    rows: list[tuple[str, float, float, int]]
-
-    def render(self) -> str:
-        body = [
-            (label, f"{sr * 100:.2f} %", f"{cs * 100:.2f} %", f"{messages:,}")
-            for label, sr, cs, messages in self.rows
-        ]
-        return format_table(
-            ("Scheme", "SR failures", "CS failures", "Messages out"),
-            body,
-            title=self.title,
-        )
-
-    def sr_rate(self, label: str) -> float:
-        for row_label, sr, _, _ in self.rows:
-            if row_label == label:
-                return sr
-        raise KeyError(label)
+#: The failure and traffic columns every ablation table ends with.
+OUTCOME_COLUMNS: tuple[Column, ...] = (
+    ("SR failures", percent("sr_attack_failure_rate")),
+    ("CS failures", percent("cs_attack_failure_rate")),
+    ("Messages out", lambda g: f"{g.one.total_outgoing:,}"),
+)
 
 
 def _run_schemes(
     scenario: Scenario,
-    schemes: list[tuple[str, ResilienceConfig]],
     title: str,
-    attack: AttackSpec | None,
-    trace_name: str = "TRC1",
-    seed: int = 0,
-) -> AblationResult:
-    trace = scenario.trace(trace_name)
-    rows = []
-    for label, config in schemes:
-        result = run_replay(scenario.built, trace, config, attack=attack,
-                            seed=seed)
-        rows.append(
-            (
-                label,
-                result.sr_attack_failure_rate,
-                result.cs_attack_failure_rate,
-                result.metrics.total_outgoing,
-            )
-        )
-    return AblationResult(title=title, rows=rows)
+    schemes: dict[str, ResilienceConfig],
+    attack_hours: float,
+    seed: int,
+) -> Grid:
+    """One TRC1 replay per labelled scheme under the root+TLD attack,
+    one table row each."""
+    attack = AttackSpec(start=scenario.attack_start,
+                        duration=attack_hours * HOUR)
+    grid = Sweep(
+        {"scheme": tuple(schemes)},
+        lambda scheme: ReplaySpec.for_scenario(
+            scenario, "TRC1", schemes[scheme], attack=attack, seed=seed
+        ),
+    ).run()
+    return grid.tabulate(Table(
+        title, rows=("scheme",),
+        columns=(("Scheme", coord("scheme")), *OUTCOME_COLUMNS),
+    ))
 
 
 def mechanism_ablation(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> Grid:
     """Each mechanism in isolation, then stacked."""
     renew_only = ResilienceConfig(
         ttl_refresh=False,
         renewal_policy=ResilienceConfig.refresh_renew("a-lfu", 3).renewal_policy,
         label="renew-only(a-lfu3)",
     )
-    schemes = [
-        ("vanilla", ResilienceConfig.vanilla()),
-        ("refresh only", ResilienceConfig.refresh()),
-        ("renew only (A-LFU 3)", renew_only),
-        ("refresh + renew", ResilienceConfig.refresh_renew("a-lfu", 3)),
-        ("long-TTL 3d only", replace(ResilienceConfig.refresh_long_ttl(3),
-                                     ttl_refresh=False, label="ttl3d-only")),
-        ("combination", ResilienceConfig.combination()),
-    ]
-    attack = AttackSpec(start=scenario.attack_start,
-                        duration=attack_hours * HOUR)
     return _run_schemes(
-        scenario, schemes,
-        "Ablation — mechanisms in isolation (6 h root+TLD attack)", attack,
-        seed=seed,
+        scenario, "Ablation — mechanisms in isolation (6 h root+TLD attack)",
+        {
+            "vanilla": ResilienceConfig.vanilla(),
+            "refresh only": ResilienceConfig.refresh(),
+            "renew only (A-LFU 3)": renew_only,
+            "refresh + renew": ResilienceConfig.refresh_renew("a-lfu", 3),
+            "long-TTL 3d only": replace(ResilienceConfig.refresh_long_ttl(3),
+                                        ttl_refresh=False, label="ttl3d-only"),
+            "combination": ResilienceConfig.combination(),
+        },
+        attack_hours, seed,
     )
 
 
 def stale_comparison(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> Grid:
     """Serve-stale (related-work comparator) vs the paper's schemes."""
-    schemes = [
-        ("vanilla", ResilienceConfig.vanilla()),
-        ("serve-stale", ResilienceConfig.stale_serving()),
-        ("refresh + A-LFU 3", ResilienceConfig.refresh_renew("a-lfu", 3)),
-        ("combination", ResilienceConfig.combination()),
-    ]
-    attack = AttackSpec(start=scenario.attack_start,
-                        duration=attack_hours * HOUR)
     return _run_schemes(
-        scenario, schemes,
-        "Comparator — serve-stale (Ballani'06) vs paper schemes", attack,
-        seed=seed,
+        scenario, "Comparator — serve-stale (Ballani'06) vs paper schemes",
+        {
+            "vanilla": ResilienceConfig.vanilla(),
+            "serve-stale": ResilienceConfig.stale_serving(),
+            "refresh + A-LFU 3": ResilienceConfig.refresh_renew("a-lfu", 3),
+            "combination": ResilienceConfig.combination(),
+        },
+        attack_hours, seed,
     )
 
 
 def other_attack_classes(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> Grid:
     """§6's other attacks: one popular SLD; one DNS-hosting provider."""
     trace = scenario.trace("TRC1")
     start = scenario.attack_start
@@ -142,36 +118,35 @@ def other_attack_classes(
     target_sld = busiest(slds)
     target_provider = busiest(scenario.built.provider_zones)
 
-    rows = []
-    for label, targets in (
-        (f"popular SLD ({target_sld})", (target_sld,)),
-        (f"provider ({target_provider})", (target_provider,)),
-    ):
-        spec = AttackSpec(start=start, duration=attack_hours * HOUR,
-                          targets=targets)
-        for scheme_label, config in (
-            ("vanilla", ResilienceConfig.vanilla()),
-            ("combination", ResilienceConfig.combination()),
-        ):
-            result = run_replay(scenario.built, trace, config, attack=spec,
-                                seed=seed)
-            rows.append(
-                (
-                    f"{label} / {scheme_label}",
-                    result.sr_attack_failure_rate,
-                    result.cs_attack_failure_rate,
-                    result.metrics.total_outgoing,
-                )
-            )
-    return AblationResult(
-        title="Other attack classes (paper §6): single SLD / provider",
-        rows=rows,
-    )
+    attacks = {
+        f"popular SLD ({target_sld})": (target_sld,),
+        f"provider ({target_provider})": (target_provider,),
+    }
+    schemes = {
+        "vanilla": ResilienceConfig.vanilla(),
+        "combination": ResilienceConfig.combination(),
+    }
+    grid = Sweep(
+        {"target": tuple(attacks), "scheme": tuple(schemes)},
+        lambda target, scheme: ReplaySpec.for_scenario(
+            scenario, "TRC1", schemes[scheme], seed=seed,
+            attack=AttackSpec(start=start, duration=attack_hours * HOUR,
+                              targets=attacks[target]),
+        ),
+    ).run()
+    return grid.tabulate(Table(
+        "Other attack classes (paper §6): single SLD / provider",
+        rows=("target", "scheme"),
+        columns=(
+            ("Scheme", lambda g: f"{g.at['target']} / {g.at['scheme']}"),
+            *OUTCOME_COLUMNS,
+        ),
+    ))
 
 
 def capacity_ablation(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> Grid:
     """Bounded-cache sensitivity: how much memory do the schemes need?
 
     The paper (§5.2.2) argues the memory overhead is negligible for
@@ -182,101 +157,78 @@ def capacity_ablation(
     """
     zone_count = scenario.built.tree.zone_count()
     base = ResilienceConfig.combination()
-    schemes = [
-        ("combination / unbounded", base),
-        ("combination / 4x zones",
-         replace(base, cache_capacity=4 * zone_count,
-                 label="combo-cap4x")),
-        ("combination / 1x zones",
-         replace(base, cache_capacity=zone_count, label="combo-cap1x")),
-        ("combination / 0.25x zones",
-         replace(base, cache_capacity=max(8, zone_count // 4),
-                 label="combo-cap025x")),
-        ("vanilla / unbounded", ResilienceConfig.vanilla()),
-    ]
-    attack = AttackSpec(start=scenario.attack_start,
-                        duration=attack_hours * HOUR)
     return _run_schemes(
-        scenario, schemes,
-        "Ablation — cache capacity vs resilience (6 h attack)", attack,
-        seed=seed,
+        scenario, "Ablation — cache capacity vs resilience (6 h attack)",
+        {
+            "combination / unbounded": base,
+            "combination / 4x zones": replace(
+                base, cache_capacity=4 * zone_count, label="combo-cap4x"),
+            "combination / 1x zones": replace(
+                base, cache_capacity=zone_count, label="combo-cap1x"),
+            "combination / 0.25x zones": replace(
+                base, cache_capacity=max(8, zone_count // 4),
+                label="combo-cap025x"),
+            "vanilla / unbounded": ResilienceConfig.vanilla(),
+        },
+        attack_hours, seed,
     )
 
 
 def holddown_ablation(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> Grid:
     """Dead-server hold-down: timeout-storm damping during the attack.
 
     Hold-down does not change *whether* a lookup can succeed (the data
     is still unreachable), but it stops the resolver from re-timing-out
     on known-dead servers — visible as far fewer failed CS queries.
     """
-    schemes = [
-        ("vanilla", ResilienceConfig.vanilla()),
-        ("vanilla + holddown 10m",
-         replace(ResilienceConfig.vanilla(), server_holddown=600.0,
-                 label="vanilla+holddown")),
-        ("refresh + holddown 10m",
-         replace(ResilienceConfig.refresh(), server_holddown=600.0,
-                 label="refresh+holddown")),
-        ("refresh + fast-select",
-         replace(ResilienceConfig.refresh(), prefer_fast_servers=True,
-                 label="refresh+fastselect")),
-    ]
-    attack = AttackSpec(start=scenario.attack_start,
-                        duration=attack_hours * HOUR)
     return _run_schemes(
-        scenario, schemes,
+        scenario,
         "Ablation — dead-server hold-down & RTT selection (6 h attack)",
-        attack, seed=seed,
+        {
+            "vanilla": ResilienceConfig.vanilla(),
+            "vanilla + holddown 10m": replace(
+                ResilienceConfig.vanilla(), server_holddown=600.0,
+                label="vanilla+holddown"),
+            "refresh + holddown 10m": replace(
+                ResilienceConfig.refresh(), server_holddown=600.0,
+                label="refresh+holddown"),
+            "refresh + fast-select": replace(
+                ResilienceConfig.refresh(), prefer_fast_servers=True,
+                label="refresh+fastselect"),
+        },
+        attack_hours, seed,
     )
-
-
-@dataclass
-class ScaleSensitivityResult:
-    """Failure rates for the same scheme at two scales."""
-
-    rows: list[tuple[str, str, float, float]]
-
-    def render(self) -> str:
-        body = [
-            (scale, scheme, f"{sr * 100:.2f} %", f"{cs * 100:.2f} %")
-            for scale, scheme, sr, cs in self.rows
-        ]
-        return format_table(
-            ("Scale", "Scheme", "SR failures", "CS failures"),
-            body,
-            title="Scale sensitivity — failure rates across scales",
-        )
 
 
 def scale_sensitivity(
     scales: tuple[Scale, ...] = (Scale.TINY, Scale.SMALL),
     attack_hours: float = 6.0,
     seed: int = 0,
-) -> ScaleSensitivityResult:
+) -> Grid:
     """The same schemes at multiple scales; rates should be comparable."""
-    schemes = [
-        ("vanilla", ResilienceConfig.vanilla()),
-        ("refresh", ResilienceConfig.refresh()),
-        ("combination", ResilienceConfig.combination()),
-    ]
-    rows = []
-    for scale in scales:
+    schemes = {
+        "vanilla": ResilienceConfig.vanilla(),
+        "refresh": ResilienceConfig.refresh(),
+        "combination": ResilienceConfig.combination(),
+    }
+
+    def replay(scale: Scale, scheme: str) -> ReplaySpec:
         scenario = make_scenario(scale)
-        trace = scenario.trace("TRC1")
         attack = AttackSpec(start=scenario.attack_start,
                             duration=attack_hours * HOUR)
-        for label, config in schemes:
-            result = run_replay(scenario.built, trace, config, attack=attack,
-                                seed=seed)
-            rows.append(
-                (
-                    scale.value,
-                    label,
-                    result.sr_attack_failure_rate,
-                    result.cs_attack_failure_rate,
-                )
-            )
-    return ScaleSensitivityResult(rows=rows)
+        return ReplaySpec.for_scenario(scenario, "TRC1", schemes[scheme],
+                                       attack=attack, seed=seed)
+
+    grid = Sweep({"scale": scales, "scheme": tuple(schemes)}, replay).run()
+    return grid.tabulate(Table(
+        "Scale sensitivity — failure rates across scales",
+        rows=("scale", "scheme"),
+        columns=(
+            ("Scale", lambda g: g.at["scale"].value),
+            ("Scheme", coord("scheme")),
+            ("SR failures", percent("sr_attack_failure_rate")),
+            ("CS failures", percent("cs_attack_failure_rate")),
+        ),
+    ))

@@ -1,22 +1,24 @@
-"""Shared machinery for the Figures 4–11 attack grids.
+"""The Figures 4–11 failure grids and the Renewal 2.0 comparison.
 
 Each figure is a grid of (trace × column) failure rates under the
-root+TLD attack starting at day 7.  Columns are attack durations
-(Figures 4–5) or scheme variants at a fixed 6-hour attack
-(Figures 6–11).
+root+TLD attack starting at day 7.  A column is a labelled (scheme,
+attack duration) pair: attack durations for one scheme (Figures 4–5)
+or scheme variants at a fixed 6-hour attack (Figures 6–11).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
-from repro.analysis.report import format_table, render_failure_block
+from repro.analysis.report import format_percent
 from repro.core.config import ResilienceConfig
 from repro.core.schemes import parse_scheme
 from repro.experiments.harness import AttackSpec
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
+from repro.experiments.sweep import Grid, Sweep, Table, coord, percent, pivot
 
 HOUR = 3600.0
 
@@ -29,56 +31,76 @@ CREDITS = (1, 3, 5)
 #: The paper's long-TTL values in days (Figures 10, 11).
 LONG_TTL_DAYS = (1, 3, 5, 7)
 
-
-@dataclass
-class FailureGrid:
-    """One figure's data: failure rates per (trace, column), SR and CS."""
-
-    title: str
-    columns: tuple[str, ...]
-    sr: dict[str, dict[str, float]] = field(default_factory=dict)
-    cs: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def record(self, trace: str, column: str, sr_rate: float, cs_rate: float) -> None:
-        self.sr.setdefault(trace, {})[column] = sr_rate
-        self.cs.setdefault(trace, {})[column] = cs_rate
-
-    def sr_value(self, trace: str, column: str) -> float:
-        return self.sr[trace][column]
-
-    def cs_value(self, trace: str, column: str) -> float:
-        return self.cs[trace][column]
-
-    def column_mean_sr(self, column: str) -> float:
-        """Mean SR failure rate for a column across traces."""
-        values = [cells[column] for cells in self.sr.values() if column in cells]
-        if not values:
-            raise KeyError(f"no data for column {column!r}")
-        return sum(values) / len(values)
-
-    def column_mean_cs(self, column: str) -> float:
-        values = [cells[column] for cells in self.cs.values() if column in cells]
-        if not values:
-            raise KeyError(f"no data for column {column!r}")
-        return sum(values) / len(values)
-
-    def render(self) -> str:
-        """Both panels (SR on top, CS below) as text, like the paper's plots."""
-        top = render_failure_block(
-            f"{self.title} — failed queries from stub resolvers",
-            self.sr,
-            self.columns,
-        )
-        bottom = render_failure_block(
-            f"{self.title} — failed queries from caching servers",
-            self.cs,
-            self.columns,
-        )
-        return f"{top}\n\n{bottom}"
+#: One grid column: (label, scheme, attack hours).
+GridColumn = tuple[str, ResilienceConfig, float]
 
 
-def _week_trace_names(scenario: Scenario, limit: int | None) -> tuple[str, ...]:
+def week_traces(scenario: Scenario, limit: int | None) -> tuple[str, ...]:
+    """The first ``limit`` week traces (all of them when None)."""
     return Scenario.WEEK_TRACES[: limit or scenario.parameters.week_trace_count]
+
+
+def failure_grid(
+    scenario: Scenario,
+    title: str,
+    columns: Sequence[GridColumn],
+    trace_limit: int | None = None,
+    seed: int = 0,
+    workers: int | None = None,
+) -> Grid:
+    """Failure rates over ``trace`` × ``column``, SR panel above CS.
+
+    ``workers`` (default ``$REPRO_WORKERS``) fans the cells out over
+    processes.
+    """
+    by_label = {label: (config, hours) for label, config, hours in columns}
+
+    def replay(trace: str, column: str) -> ReplaySpec:
+        config, hours = by_label[column]
+        attack = AttackSpec(start=scenario.attack_start, duration=hours * HOUR)
+        return ReplaySpec.for_scenario(scenario, trace, config, attack=attack,
+                                       seed=seed)
+
+    grid = Sweep(
+        {"trace": week_traces(scenario, trace_limit), "column": tuple(by_label)},
+        replay,
+    ).run(workers)
+    return grid.tabulate(*(
+        Table(
+            f"{title} — failed queries from {who}",
+            rows=("trace",),
+            columns=[("trace", coord("trace")), *pivot(
+                "column", tuple(by_label), str,
+                lambda cell, attr=attr: format_percent(getattr(cell, attr)),
+            )],
+        )
+        for who, attr in (("stub resolvers", "sr_attack_failure_rate"),
+                          ("caching servers", "cs_attack_failure_rate"))
+    ))
+
+
+def column_mean(grid: Grid, column: str, panel: str = "sr") -> float:
+    """A failure grid column's mean ``panel`` ("sr" or "cs") failure rate
+    over the traces."""
+    return grid.where(column=column).mean(f"{panel}_attack_failure_rate")
+
+
+def duration_columns(
+    config: ResilienceConfig, durations_hours: Sequence[int] = DURATIONS_HOURS
+) -> list[GridColumn]:
+    """Figures 4-5: one scheme, attack durations as columns."""
+    return [(f"{hours} h", config, hours) for hours in durations_hours]
+
+
+def scheme_columns(
+    schemes: Sequence[tuple[str, ResilienceConfig]], attack_hours: float = 6.0
+) -> list[GridColumn]:
+    """Figures 6-11: the "DNS" contrast column, then ``schemes``, at a
+    fixed attack."""
+    return [
+        (label, config, attack_hours)
+        for label, config in (("DNS", ResilienceConfig.vanilla()), *schemes)
+    ]
 
 
 @dataclass(frozen=True)
@@ -92,95 +114,16 @@ class AttackGridSpec:
     durations_hours: tuple[int, ...] = DURATIONS_HOURS
 
 
-def run(spec: AttackGridSpec) -> FailureGrid:
+def run(spec: AttackGridSpec) -> Grid:
     """Registry entry point: one scheme's failure grid over durations."""
     config = parse_scheme(spec.scheme)
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
-    return run_duration_grid(
+    return failure_grid(
         scenario,
-        config,
-        title=f"Attack durations — {config.label}",
-        durations_hours=spec.durations_hours,
+        f"Attack durations — {config.label}",
+        duration_columns(config, spec.durations_hours),
         trace_limit=spec.trace_limit,
     )
-
-
-def run_duration_grid(
-    scenario: Scenario,
-    config: ResilienceConfig,
-    title: str,
-    durations_hours: tuple[int, ...] = DURATIONS_HOURS,
-    trace_limit: int | None = None,
-    seed: int = 0,
-    workers: int | None = None,
-) -> FailureGrid:
-    """Figures 4 and 5: one scheme, attack durations as columns.
-
-    The (trace × duration) cells are independent replays and go through
-    the batch runner; ``workers`` (default ``$REPRO_WORKERS``) fans them
-    out over processes.
-    """
-    columns = tuple(f"{hours} h" for hours in durations_hours)
-    grid = FailureGrid(title=title, columns=columns)
-    cells = [
-        (trace_name, column,
-         AttackSpec(start=scenario.attack_start, duration=hours * HOUR))
-        for trace_name in _week_trace_names(scenario, trace_limit)
-        for hours, column in zip(durations_hours, columns)
-    ]
-    specs = [
-        ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack,
-                                seed=seed)
-        for trace_name, _, attack in cells
-    ]
-    for (trace_name, column, _), summary in zip(cells,
-                                                run_replays(specs, workers)):
-        grid.record(
-            trace_name,
-            column,
-            summary.sr_attack_failure_rate,
-            summary.cs_attack_failure_rate,
-        )
-    return grid
-
-
-def run_scheme_grid(
-    scenario: Scenario,
-    schemes: list[tuple[str, ResilienceConfig]],
-    title: str,
-    attack_hours: float = 6.0,
-    trace_limit: int | None = None,
-    seed: int = 0,
-    workers: int | None = None,
-) -> FailureGrid:
-    """Figures 6-11: fixed 6-hour attack, scheme variants as columns."""
-    columns = tuple(label for label, _ in schemes)
-    grid = FailureGrid(title=title, columns=columns)
-    attack = AttackSpec(start=scenario.attack_start, duration=attack_hours * HOUR)
-    cells = [
-        (trace_name, label, config)
-        for trace_name in _week_trace_names(scenario, trace_limit)
-        for label, config in schemes
-    ]
-    specs = [
-        ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack,
-                                seed=seed)
-        for trace_name, _, config in cells
-    ]
-    for (trace_name, label, _), summary in zip(cells,
-                                               run_replays(specs, workers)):
-        grid.record(
-            trace_name,
-            label,
-            summary.sr_attack_failure_rate,
-            summary.cs_attack_failure_rate,
-        )
-    return grid
-
-
-def vanilla_column() -> tuple[str, ResilienceConfig]:
-    """The "DNS" contrast column the paper includes in Figures 6-11."""
-    return ("DNS", ResilienceConfig.vanilla())
 
 
 # ---------------------------------------------------------------------------
@@ -190,54 +133,6 @@ def vanilla_column() -> tuple[str, ResilienceConfig]:
 #: The default comparison set: the paper's adaptive renewal policies
 #: against the two post-paper families, all spelled in scheme syntax.
 RENEWAL2_SCHEMES = ("a-lru:3", "a-lfu:3", "swr", "decoupled:7")
-
-
-@dataclass(frozen=True)
-class Renewal2Row:
-    """One scheme's attack-survival vs upstream-spend numbers."""
-
-    label: str
-    sr_attack_failure_rate: float
-    cs_attack_failure_rate: float
-    stale_answer_rate: float
-    upstream_queries: int
-    upstream_per_stub: float
-
-
-@dataclass
-class Renewal2Result:
-    """The equal-upstream-budget comparison (the Renewal 2.0 figure)."""
-
-    attack_hours: float
-    rows: list[Renewal2Row]
-
-    def row(self, label: str) -> Renewal2Row:
-        for entry in self.rows:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
-
-    def render(self) -> str:
-        body = [
-            (
-                row.label,
-                f"{row.sr_attack_failure_rate * 100:.2f} %",
-                f"{row.cs_attack_failure_rate * 100:.2f} %",
-                f"{row.stale_answer_rate * 100:.2f} %",
-                row.upstream_queries,
-                f"{row.upstream_per_stub:.3f}",
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ("Scheme", "SR fail (attack)", "CS fail (attack)",
-             "Stale answers", "Upstream queries", "Upstream/stub"),
-            body,
-            title=(
-                f"Renewal 2.0 — {self.attack_hours:g} h attack, schemes "
-                "compared at equal upstream query budget (demand + renewal)"
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -251,44 +146,50 @@ class Renewal2Spec:
     schemes: tuple[str, ...] = RENEWAL2_SCHEMES
 
 
-def run_renewal2(spec: Renewal2Spec) -> Renewal2Result:
+def per_stub(group: Grid, attr: str) -> float:
+    """``attr`` summed over a scheme's traces, per stub query."""
+    stub: int = group.total("sr_queries")
+    spent: int = group.total(attr)
+    return spent / stub if stub else 0.0
+
+
+def renewal2_table(attack_hours: float) -> Table:
+    """The equal-upstream-budget comparison over ``scheme`` × ``trace``."""
+    return Table(
+        f"Renewal 2.0 — {attack_hours:g} h attack, schemes compared at "
+        "equal upstream query budget (demand + renewal)",
+        rows=("scheme",),
+        columns=(
+            ("Scheme", coord("scheme")),
+            ("SR fail (attack)", percent("sr_attack_failure_rate")),
+            ("CS fail (attack)", percent("cs_attack_failure_rate")),
+            ("Stale answers",
+             lambda g: f"{per_stub(g, 'sr_stale_hits') * 100:.2f} %"),
+            ("Upstream queries", lambda g: g.total("upstream_queries")),
+            ("Upstream/stub",
+             lambda g: f"{per_stub(g, 'upstream_queries'):.3f}"),
+        ),
+    )
+
+
+def run_renewal2(spec: Renewal2Spec) -> Grid:
     """Registry entry point: replay every scheme over the week traces.
 
     All schemes replay the same traces, seed and attack; the table
-    reports failure rates side by side with the upstream-query spend so
-    the comparison is read at equal budget (the ``upstream_queries``
-    column normalises the figure).
+    reports failure rates (means over traces) side by side with the
+    upstream-query spend (sums) so the comparison is read at equal
+    budget.
     """
-    configs = [parse_scheme(scheme) for scheme in spec.schemes]
+    configs = {config.label: config
+               for config in map(parse_scheme, spec.schemes)}
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
     attack = AttackSpec(start=scenario.attack_start,
                         duration=spec.attack_hours * HOUR)
-    trace_names = _week_trace_names(scenario, spec.trace_limit)
-    cells = [
-        (config, trace_name)
-        for config in configs
-        for trace_name in trace_names
-    ]
-    specs = [
-        ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack)
-        for config, trace_name in cells
-    ]
-    summaries = run_replays(specs)
-    rows = []
-    per_scheme = len(trace_names)
-    for index, config in enumerate(configs):
-        chunk = summaries[index * per_scheme:(index + 1) * per_scheme]
-        sr_rates = [s.sr_attack_failure_rate for s in chunk]
-        cs_rates = [s.cs_attack_failure_rate for s in chunk]
-        stale = sum(s.sr_stale_hits for s in chunk)
-        stub = sum(s.sr_queries for s in chunk)
-        upstream = sum(s.upstream_queries for s in chunk)
-        rows.append(Renewal2Row(
-            label=config.label,
-            sr_attack_failure_rate=sum(sr_rates) / len(sr_rates),
-            cs_attack_failure_rate=sum(cs_rates) / len(cs_rates),
-            stale_answer_rate=stale / stub if stub else 0.0,
-            upstream_queries=upstream,
-            upstream_per_stub=upstream / stub if stub else 0.0,
-        ))
-    return Renewal2Result(attack_hours=spec.attack_hours, rows=rows)
+    grid = Sweep(
+        {"scheme": tuple(configs),
+         "trace": week_traces(scenario, spec.trace_limit)},
+        lambda scheme, trace: ReplaySpec.for_scenario(
+            scenario, trace, configs[scheme], attack=attack
+        ),
+    ).run()
+    return grid.tabulate(renewal2_table(spec.attack_hours))

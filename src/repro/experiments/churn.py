@@ -23,10 +23,12 @@ argument that the long-TTL downside is latency, not correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import cast
 
-from repro.analysis.report import format_table
 from repro.core.caching_server import CachingServer
 from repro.core.config import ResilienceConfig
+from repro.experiments.harness import ReplayResult
+from repro.experiments.sweep import Grid, Table, coord
 from repro.hierarchy.builder import BuiltHierarchy, HierarchyConfig, build_hierarchy
 from repro.hierarchy.churn import ChurnSchedule, apply_churn_event, generate_churn
 from repro.simulation.engine import SimulationEngine
@@ -38,76 +40,18 @@ from repro.workload.trace import Trace
 DAY = 86400.0
 
 
-@dataclass
-class ChurnReplayResult:
-    """One (scheme, churn) replay's outcome."""
-
-    label: str
-    sr_failure_rate: float
-    mean_latency: float
-    stale_touches: int
-    """CS queries answered by nobody because the target was obsolete."""
-
-    total_queries: int
-
-    stale_answer_rate: float = 0.0
-    """Fraction of stub answers served from lapsed records (SWR/serve-
-    stale staleness actually handed to clients)."""
-
-    upstream_queries: int = 0
-    """Total CS -> AN messages (demand + renewal) — the equal-budget
-    currency the Renewal 2.0 comparison normalises by."""
-
-    invalidations: int = 0
-    """Update-channel invalidations applied (``decoupled`` only)."""
-
-
-@dataclass
-class ChurnExperimentResult:
-    """Latency/consistency cost of long TTLs under server churn."""
-
-    churned_zones: int
-    rows: list[ChurnReplayResult]
-
-    def render(self) -> str:
-        body = [
-            (
-                row.label,
-                f"{row.sr_failure_rate * 100:.2f} %",
-                f"{row.mean_latency * 1000:.1f} ms",
-                row.stale_touches,
-                f"{row.stale_answer_rate * 100:.2f} %",
-                row.upstream_queries,
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ("Scheme", "SR failures", "Mean latency", "Obsolete-server hits",
-             "Stale answers", "Upstream queries"),
-            body,
-            title=(
-                f"IRR churn — {self.churned_zones} zones migrate servers "
-                "mid-trace (paper §4 long-TTL inconsistency cost)"
-            ),
-        )
-
-    def row(self, label: str) -> ChurnReplayResult:
-        for entry in self.rows:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
-
-
 def run_churn_replay(
     built: BuiltHierarchy,
     trace: Trace,
     config: ResilienceConfig,
     churn: ChurnSchedule,
     seed: int = 0,
-) -> ChurnReplayResult:
+) -> ReplayResult:
     """Replay ``trace`` while applying churn events at their times.
 
-    The caller must pass a *private* hierarchy (churn mutates it).
+    The caller must pass a *private* hierarchy (churn mutates it).  The
+    result's ``server.network.queries_lost`` counts the queries sent to
+    obsolete (decommissioned) servers.
     """
     tree = built.tree
     if config.long_ttl is not None:
@@ -135,20 +79,13 @@ def run_churn_replay(
                 listeners=listeners,
             ),
         )
-    lost_before = network.queries_lost
     for query in trace:
         engine.advance_to(query.time)
         server.handle_stub_query(query.qname, query.rrtype, query.time)
     engine.advance_to(trace.duration)
-    return ChurnReplayResult(
-        label=config.label,
-        sr_failure_rate=metrics.sr_failure_rate,
-        mean_latency=metrics.mean_latency,
-        stale_touches=network.queries_lost - lost_before,
-        total_queries=metrics.sr_queries,
-        stale_answer_rate=metrics.stale_answer_rate,
-        upstream_queries=metrics.total_outgoing,
-        invalidations=metrics.invalidations,
+    return ReplayResult(
+        label=config.label, trace_name=trace.name, metrics=metrics,
+        window=None, gap_tracker=None, server=server,
     )
 
 
@@ -167,12 +104,19 @@ class ChurnSpec:
     )
 
 
-def run(spec: ChurnSpec) -> ChurnExperimentResult:
+def obsolete_hits(result: ReplayResult) -> int:
+    """CS queries answered by nobody because the target was obsolete."""
+    return cast(Network, result.server.network).queries_lost
+
+
+def run(spec: ChurnSpec) -> Grid:
     """Compare IRR TTL settings under mid-trace server migrations.
 
     Each scheme gets a freshly built (identical-seed) hierarchy because
-    churn mutates the tree.  ``churn_fraction`` of eligible own-server
-    SLDs migrate, uniformly over days 1-6.
+    churn mutates the tree, so the replays run in-process; cells are the
+    live :class:`~repro.experiments.harness.ReplayResult`.
+    ``churn_fraction`` of eligible own-server SLDs migrate, uniformly
+    over days 1-6.
     """
     hierarchy_config = spec.hierarchy or HierarchyConfig(
         num_tlds=8, num_slds=120, num_providers=3
@@ -188,7 +132,7 @@ def run(spec: ChurnSpec) -> ChurnExperimentResult:
         ResilienceConfig.swr(),
         ResilienceConfig.decoupled(7),
     ]
-    rows = []
+    cells = []
     churned = 0
     for config in schemes:
         built = build_hierarchy(hierarchy_config, seed=spec.seed)
@@ -204,9 +148,26 @@ def run(spec: ChurnSpec) -> ChurnExperimentResult:
             decommission_old=spec.decommission_old,
         )
         churned = len(churn)
-        rows.append(run_churn_replay(built, trace, config, churn,
-                                     seed=spec.seed))
-    return ChurnExperimentResult(churned_zones=churned, rows=rows)
+        cells.append(run_churn_replay(built, trace, config, churn,
+                                      seed=spec.seed))
+    grid = Grid(axes={"scheme": tuple(c.label for c in schemes)},
+                cells=tuple(cells))
+    return grid.tabulate(Table(
+        f"IRR churn — {churned} zones migrate servers "
+        "mid-trace (paper §4 long-TTL inconsistency cost)",
+        rows=("scheme",),
+        columns=(
+            ("Scheme", coord("scheme")),
+            ("SR failures",
+             lambda g: f"{g.one.metrics.sr_failure_rate * 100:.2f} %"),
+            ("Mean latency",
+             lambda g: f"{g.one.metrics.mean_latency * 1000:.1f} ms"),
+            ("Obsolete-server hits", lambda g: obsolete_hits(g.one)),
+            ("Stale answers",
+             lambda g: f"{g.one.metrics.stale_answer_rate * 100:.2f} %"),
+            ("Upstream queries", lambda g: g.one.metrics.total_outgoing),
+        ),
+    ))
 
 
 def _eligible_zone_count(built: BuiltHierarchy) -> int:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig, RetryPolicy
 from repro.core.schemes import parse_scheme
 from repro.experiments.harness import AttackSpec
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.sweep import Grid, Sweep, Table, coord, knee, pivot
 from repro.simulation.faults import FaultSpec
 
 HOUR = 3600.0
@@ -64,65 +64,6 @@ class DegradationSpec:
     """Per-zone-visit NS sub-resolution cap (DESIGN.md §16); 0 = off."""
 
 
-@dataclass(frozen=True)
-class DegradationCell:
-    """One (policy, intensity) replay outcome."""
-
-    policy: str
-    intensity: float
-    sr_rate: float
-    cs_rate: float
-
-
-@dataclass
-class DegradationResult:
-    """The sweep's cells plus the per-policy knee summary."""
-
-    scheme: str
-    threshold: float
-    intensities: tuple[float, ...]
-    policies: tuple[str, ...]
-    cells: list[DegradationCell]
-
-    def cell(self, policy: str, intensity: float) -> DegradationCell:
-        for entry in self.cells:
-            if entry.policy == policy and entry.intensity == intensity:
-                return entry
-        raise KeyError((policy, intensity))
-
-    def knee(self, policy: str) -> float | None:
-        """Smallest swept intensity whose SR rate exceeds the threshold
-        (None when the policy stays under it across the whole sweep)."""
-        for intensity in self.intensities:
-            if self.cell(policy, intensity).sr_rate > self.threshold:
-                return intensity
-        return None
-
-    def render(self) -> str:
-        headers = ["Policy"] + [
-            f"i={intensity:g}" for intensity in self.intensities
-        ] + ["knee"]
-        body = []
-        for policy in self.policies:
-            knee = self.knee(policy)
-            body.append(
-                [policy]
-                + [
-                    f"{self.cell(policy, intensity).sr_rate * 100:.2f}%"
-                    for intensity in self.intensities
-                ]
-                + ["-" if knee is None else f"{knee:g}"]
-            )
-        return format_table(
-            headers,
-            body,
-            title=(
-                f"SR failure rate vs attack intensity ({self.scheme}; "
-                f"knee = first intensity > {self.threshold * 100:g}%)"
-            ),
-        )
-
-
 def _policy_config(
     base: ResilienceConfig, tries: int, holddown: float
 ) -> ResilienceConfig:
@@ -136,17 +77,13 @@ def _policy_config(
     return base.with_retries(policy)
 
 
-def run(spec: DegradationSpec) -> DegradationResult:
+def run(spec: DegradationSpec) -> Grid:
     """Registry entry point: sweep intensity × retry policy.
 
     Raises:
         ValueError: when either sweep axis is empty, or an intensity
             falls outside [0, 1].
     """
-    if not spec.intensities:
-        raise ValueError("need at least one attack intensity")
-    if not spec.retry_tries:
-        raise ValueError("need at least one retry-tries value")
     for intensity in spec.intensities:
         if not 0.0 <= intensity <= 1.0:
             raise ValueError(
@@ -160,42 +97,38 @@ def run(spec: DegradationSpec) -> DegradationResult:
             nxns_cap=spec.nxns_cap if spec.nxns_cap > 0 else None,
         )
     faults = FaultSpec(background_loss=spec.loss) if spec.loss > 0.0 else None
-    configs = [
-        _policy_config(base, tries, spec.holddown)
-        for tries in spec.retry_tries
-    ]
-    specs = [
-        ReplaySpec.for_scenario(
+    configs = {
+        config.label: config
+        for config in (_policy_config(base, tries, spec.holddown)
+                       for tries in spec.retry_tries)
+    }
+    grid = Sweep(
+        {"policy": tuple(configs), "intensity": spec.intensities},
+        lambda policy, intensity: ReplaySpec.for_scenario(
             scenario,
             spec.trace_name,
-            config,
+            configs[policy],
             attack=AttackSpec(
                 start=scenario.attack_start,
                 duration=spec.attack_hours * HOUR,
                 intensity=intensity,
             ),
             faults=faults,
-        )
-        for config in configs
-        for intensity in spec.intensities
-    ]
-    summaries = iter(run_replays(specs))
-    cells = []
-    for config in configs:
-        for intensity in spec.intensities:
-            summary = next(summaries)
-            cells.append(
-                DegradationCell(
-                    policy=config.label,
-                    intensity=intensity,
-                    sr_rate=summary.sr_attack_failure_rate,
-                    cs_rate=summary.cs_attack_failure_rate,
-                )
-            )
-    return DegradationResult(
-        scheme=spec.scheme,
-        threshold=spec.knee_threshold,
-        intensities=spec.intensities,
-        policies=tuple(config.label for config in configs),
-        cells=cells,
-    )
+        ),
+    ).run()
+
+    def knee_label(group: Grid) -> str:
+        value = knee(group, "intensity", spec.knee_threshold)
+        return "-" if value is None else f"{value:g}"
+
+    return grid.tabulate(Table(
+        f"SR failure rate vs attack intensity ({spec.scheme}; "
+        f"knee = first intensity > {spec.knee_threshold * 100:g}%)",
+        rows=("policy",),
+        columns=[
+            ("Policy", coord("policy")),
+            *pivot("intensity", spec.intensities, lambda i: f"i={i:g}",
+                   lambda cell: f"{cell.sr_attack_failure_rate * 100:.2f}%"),
+            ("knee", knee_label),
+        ],
+    ))

@@ -17,53 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.experiments.harness import AttackSpec, run_replay
+from repro.experiments.sweep import Grid, Table, coord, percent
 from repro.hierarchy.builder import HierarchyConfig, build_hierarchy
 from repro.workload.generator import TraceGenerator, WorkloadConfig
 
 DAY = 86400.0
 HOUR = 3600.0
-
-
-@dataclass
-class DnssecRow:
-    label: str
-    sr_failure_rate: float
-    validation_failures: int
-    cs_failure_rate: float
-
-
-@dataclass
-class DnssecExperimentResult:
-    rows: list[DnssecRow]
-
-    def render(self) -> str:
-        body = [
-            (
-                row.label,
-                f"{row.sr_failure_rate * 100:.2f} %",
-                row.validation_failures,
-                f"{row.cs_failure_rate * 100:.2f} %",
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ("Scheme", "SR failures (attack)", "Validation failures",
-             "CS failures (attack)"),
-            body,
-            title=(
-                "DNSSEC extension (paper §6) — fully signed hierarchy, "
-                "6 h root+TLD attack"
-            ),
-        )
-
-    def row(self, label: str) -> DnssecRow:
-        for entry in self.rows:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
 
 
 @dataclass(frozen=True)
@@ -80,8 +41,12 @@ class DnssecSpec:
     )
 
 
-def run(spec: DnssecSpec) -> DnssecExperimentResult:
-    """Vanilla vs combination, validation off vs on, signed hierarchy."""
+def run(spec: DnssecSpec) -> Grid:
+    """Vanilla vs combination, validation off vs on, signed hierarchy.
+
+    The hierarchy is private to this experiment, so the replays run
+    in-process rather than through the scenario-keyed batch runner.
+    """
     hierarchy_config = spec.hierarchy or HierarchyConfig(
         num_tlds=8, num_slds=150, num_providers=3, dnssec_fraction=1.0
     )
@@ -102,16 +67,22 @@ def run(spec: DnssecSpec) -> DnssecExperimentResult:
         ResilienceConfig.combination(),
         ResilienceConfig.combination().with_validation(),
     ]
-    rows = []
-    for config in schemes:
-        result = run_replay(built, trace, config, attack=attack,
-                            seed=spec.seed)
-        rows.append(
-            DnssecRow(
-                label=config.label,
-                sr_failure_rate=result.sr_attack_failure_rate,
-                validation_failures=result.metrics.sr_validation_failures,
-                cs_failure_rate=result.cs_attack_failure_rate,
-            )
-        )
-    return DnssecExperimentResult(rows=rows)
+    grid = Grid(
+        axes={"scheme": tuple(config.label for config in schemes)},
+        cells=tuple(
+            run_replay(built, trace, config, attack=attack,
+                       seed=spec.seed).to_summary()
+            for config in schemes
+        ),
+    )
+    return grid.tabulate(Table(
+        "DNSSEC extension (paper §6) — fully signed hierarchy, "
+        "6 h root+TLD attack",
+        rows=("scheme",),
+        columns=(
+            ("Scheme", coord("scheme")),
+            ("SR failures (attack)", percent("sr_attack_failure_rate")),
+            ("Validation failures", lambda g: g.one.sr_validation_failures),
+            ("CS failures (attack)", percent("cs_attack_failure_rate")),
+        ),
+    ))

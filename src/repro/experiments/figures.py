@@ -1,31 +1,32 @@
 """One function per paper figure/table (the per-experiment index of
 DESIGN.md §4 maps each to its bench target).
 
-Each function returns a result object with the raw numbers plus a
-``render()`` text form; benches print that text and EXPERIMENTS.md
-records it against the paper.
+Each function returns a :class:`~repro.experiments.sweep.Grid` of the
+raw numbers plus its ``render()`` text form; benches print that text
+and EXPERIMENTS.md records it against the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
 
 from repro.analysis.cdf import Cdf
-from repro.analysis.overhead import MemoryOverheadSeries, MessageOverheadTable
-from repro.analysis.report import format_table, render_series
+from repro.analysis.overhead import MemoryOverheadSeries
+from repro.analysis.report import render_series
 from repro.core.config import ResilienceConfig
 from repro.experiments.attack_grid import (
     CREDITS,
+    DURATIONS_HOURS,
     LONG_TTL_DAYS,
-    FailureGrid,
-    run_duration_grid,
-    run_scheme_grid,
-    vanilla_column,
+    duration_columns,
+    failure_grid,
+    scheme_columns,
+    week_traces,
 )
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec
 from repro.experiments.scenarios import Scenario
-from repro.workload.stats import TraceStatistics, compute_statistics
+from repro.experiments.sweep import Grid, Sweep, Table, coord
+from repro.workload.stats import compute_statistics
 
 DAY = 86400.0
 
@@ -38,104 +39,95 @@ GAP_FRACTION_POINTS = (0.5, 1, 2, 5, 10, 20, 50, 100)
 # Table 1
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Table1Result:
-    """Trace statistics, one row per TRC."""
-
-    rows: list[TraceStatistics]
-
-    def render(self) -> str:
-        headers = (
-            "Trace", "Duration", "Clients", "Requests In",
-            "Requests Out", "Names", "Zones",
-        )
-        return format_table(
-            headers,
-            [row.as_row() for row in self.rows],
-            title="Table 1 — DNS trace statistics (synthetic workload)",
-        )
+TABLE1_HEADERS = (
+    "Trace", "Duration", "Clients", "Requests In", "Requests Out", "Names",
+    "Zones",
+)
 
 
 def table1(scenario: Scenario, include_month: bool = True,
            measure_requests_out: bool = True,
-           workers: int | None = None) -> Table1Result:
-    """Table 1: per-trace statistics; requests-out measured by vanilla replay."""
+           workers: int | None = None) -> Grid:
+    """Table 1: per-trace statistics; requests-out measured by vanilla replay.
+
+    Cells are :class:`~repro.workload.stats.TraceStatistics`.
+    """
     names = list(Scenario.WEEK_TRACES)
     if include_month:
         names.append(Scenario.MONTH_TRACE)
-    requests_out: dict[str, int | None] = {name: None for name in names}
+    requests_out: dict[str, int | None] = dict.fromkeys(names)
     if measure_requests_out:
-        specs = [
-            ReplaySpec.for_scenario(scenario, name, ResilienceConfig.vanilla())
+        replays = Sweep(
+            {"trace": names},
+            lambda trace: ReplaySpec.for_scenario(
+                scenario, trace, ResilienceConfig.vanilla()
+            ),
+        ).run(workers)
+        for name in names:
+            requests_out[name] = replays.cell(trace=name).total_outgoing
+    grid = Grid(
+        axes={"trace": tuple(names)},
+        cells=tuple(
+            compute_statistics(scenario.trace(name), tree=scenario.built.tree,
+                               requests_out=requests_out[name])
             for name in names
-        ]
-        for name, summary in zip(names, run_replays(specs, workers)):
-            requests_out[name] = summary.total_outgoing
-    rows = [
-        compute_statistics(scenario.trace(name), tree=scenario.built.tree,
-                           requests_out=requests_out[name])
-        for name in names
-    ]
-    return Table1Result(rows=rows)
+        ),
+    )
+    return grid.tabulate(Table(
+        "Table 1 — DNS trace statistics (synthetic workload)",
+        rows=("trace",),
+        columns=[
+            (header, lambda g, i=index: g.one.as_row()[i])
+            for index, header in enumerate(TABLE1_HEADERS)
+        ],
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Figure 3
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Figure3Result:
-    """Gap CDFs, aggregated over the week traces (paper Figure 3)."""
 
-    sample_count: int
-    cdf_days: Cdf
-    cdf_fraction: Cdf
-    fraction_under_5_days: float
+def gap_cdfs(grid: Grid) -> tuple[Cdf, Cdf]:
+    """Figure 3's two CDFs (gap in days, gap / TTL) over every trace."""
+    samples = [sample for cell in grid.cells for sample in cell.gap_samples]
+    return (
+        Cdf.from_samples([sample.gap_days for sample in samples]),
+        Cdf.from_samples([sample.gap_as_ttl_fraction for sample in samples]),
+    )
 
-    def render(self) -> str:
-        days = render_series(
-            "Figure 3 (upper) — gap duration CDF",
-            self.cdf_days.evaluate(GAP_DAY_POINTS),
-            x_name="days",
-            y_name="CDF",
-        )
-        fractions = render_series(
-            "Figure 3 (lower) — gap / TTL CDF",
-            self.cdf_fraction.evaluate(GAP_FRACTION_POINTS),
-            x_name="gap as fraction of TTL",
-            y_name="CDF",
-        )
-        summary = (
-            f"samples: {self.sample_count}; "
-            f"gaps under 5 days: {self.fraction_under_5_days * 100:.1f} %"
-        )
-        return f"{days}\n\n{fractions}\n\n{summary}"
+
+def _render_figure3(grid: Grid) -> str:
+    cdf_days, cdf_fraction = gap_cdfs(grid)
+    days = render_series(
+        "Figure 3 (upper) — gap duration CDF",
+        cdf_days.evaluate(GAP_DAY_POINTS),
+        x_name="days",
+        y_name="CDF",
+    )
+    fractions = render_series(
+        "Figure 3 (lower) — gap / TTL CDF",
+        cdf_fraction.evaluate(GAP_FRACTION_POINTS),
+        x_name="gap as fraction of TTL",
+        y_name="CDF",
+    )
+    summary = (
+        f"samples: {len(cdf_days)}; gaps under 5 days: "
+        f"{cdf_days.probability_at_or_below(5.0) * 100:.1f} %"
+    )
+    return f"{days}\n\n{fractions}\n\n{summary}"
 
 
 def figure3(scenario: Scenario, trace_limit: int | None = None,
-            workers: int | None = None) -> Figure3Result:
+            workers: int | None = None) -> Grid:
     """Figure 3: expiry-to-next-query gap CDFs from vanilla replays."""
-    day_samples: list[float] = []
-    fraction_samples: list[float] = []
-    names = Scenario.WEEK_TRACES[
-        : trace_limit or scenario.parameters.week_trace_count
-    ]
-    specs = [
-        ReplaySpec.for_scenario(scenario, name, ResilienceConfig.vanilla(),
-                                track_gaps=True)
-        for name in names
-    ]
-    for summary in run_replays(specs, workers):
-        for sample in summary.gap_samples:
-            day_samples.append(sample.gap_days)
-            fraction_samples.append(sample.gap_as_ttl_fraction)
-    cdf_days = Cdf.from_samples(day_samples)
-    return Figure3Result(
-        sample_count=len(day_samples),
-        cdf_days=cdf_days,
-        cdf_fraction=Cdf.from_samples(fraction_samples),
-        fraction_under_5_days=cdf_days.probability_at_or_below(5.0),
-    )
+    grid = Sweep(
+        {"trace": week_traces(scenario, trace_limit)},
+        lambda trace: ReplaySpec.for_scenario(
+            scenario, trace, ResilienceConfig.vanilla(), track_gaps=True
+        ),
+    ).run(workers)
+    return grid.tabulate(_render_figure3)
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +135,23 @@ def figure3(scenario: Scenario, trace_limit: int | None = None,
 # ---------------------------------------------------------------------------
 
 def figure4(scenario: Scenario, trace_limit: int | None = None,
-            seed: int = 0) -> FailureGrid:
+            seed: int = 0) -> Grid:
     """Figure 4: vanilla DNS under 3/6/12/24 h root+TLD attacks."""
-    return run_duration_grid(
-        scenario, ResilienceConfig.vanilla(), "Figure 4 — Vanilla DNS",
+    return failure_grid(
+        scenario, "Figure 4 — Vanilla DNS",
+        duration_columns(ResilienceConfig.vanilla(), DURATIONS_HOURS),
         trace_limit=trace_limit, seed=seed,
     )
 
 
 def figure5(scenario: Scenario, trace_limit: int | None = None,
-            seed: int = 0) -> FailureGrid:
+            seed: int = 0) -> Grid:
     """Figure 5: TTL refresh under 3/6/12/24 h attacks."""
-    return run_duration_grid(
-        scenario, ResilienceConfig.refresh(), "Figure 5 — TTL Refresh",
+    return failure_grid(
+        scenario, "Figure 5 — TTL Refresh",
+        duration_columns(ResilienceConfig.refresh(), DURATIONS_HOURS),
         trace_limit=trace_limit, seed=seed,
     )
-
-
-_POLICY_FIGURES = {
-    "lru": ("Figure 6 — TTL Refresh + Renew (LRU)", "LRU"),
-    "lfu": ("Figure 7 — TTL Refresh + Renew (LFU)", "LFU"),
-    "a-lru": ("Figure 8 — TTL Refresh + Renew (A-LRU)", "A-LRU"),
-    "a-lfu": ("Figure 9 — TTL Refresh + Renew (A-LFU)", "A-LFU"),
-}
 
 
 def renewal_figure(
@@ -174,36 +160,29 @@ def renewal_figure(
     credits: tuple[int, ...] = CREDITS,
     trace_limit: int | None = None,
     seed: int = 0,
-) -> FailureGrid:
+) -> Grid:
     """Figures 6-9: refresh + one renewal policy at credits 1/3/5, 6 h attack."""
-    title, short = _POLICY_FIGURES[policy]
-    schemes = [vanilla_column()]
-    for credit in credits:
-        schemes.append(
-            (f"{short} {credit}", ResilienceConfig.refresh_renew(policy, credit))
-        )
-    return run_scheme_grid(scenario, schemes, title, trace_limit=trace_limit,
-                           seed=seed)
+    number, short = _POLICY_FIGURES[policy]
+    schemes = [
+        (f"{short} {credit}", ResilienceConfig.refresh_renew(policy, credit))
+        for credit in credits
+    ]
+    return failure_grid(
+        scenario, f"Figure {number} — TTL Refresh + Renew ({short})",
+        scheme_columns(schemes), trace_limit=trace_limit, seed=seed,
+    )
 
 
-def figure6(scenario: Scenario, **kwargs: Any) -> FailureGrid:
-    """Figure 6: refresh + LRU renewal."""
-    return renewal_figure(scenario, "lru", **kwargs)
+_POLICY_FIGURES = {
+    "lru": (6, "LRU"), "lfu": (7, "LFU"), "a-lru": (8, "A-LRU"),
+    "a-lfu": (9, "A-LFU"),
+}
 
-
-def figure7(scenario: Scenario, **kwargs: Any) -> FailureGrid:
-    """Figure 7: refresh + LFU renewal."""
-    return renewal_figure(scenario, "lfu", **kwargs)
-
-
-def figure8(scenario: Scenario, **kwargs: Any) -> FailureGrid:
-    """Figure 8: refresh + A-LRU renewal."""
-    return renewal_figure(scenario, "a-lru", **kwargs)
-
-
-def figure9(scenario: Scenario, **kwargs: Any) -> FailureGrid:
-    """Figure 9: refresh + A-LFU renewal."""
-    return renewal_figure(scenario, "a-lfu", **kwargs)
+#: Figures 6-9, one renewal policy each.
+figure6 = partial(renewal_figure, policy="lru")
+figure7 = partial(renewal_figure, policy="lfu")
+figure8 = partial(renewal_figure, policy="a-lru")
+figure9 = partial(renewal_figure, policy="a-lfu")
 
 
 def figure10(
@@ -211,16 +190,15 @@ def figure10(
     days: tuple[int, ...] = LONG_TTL_DAYS,
     trace_limit: int | None = None,
     seed: int = 0,
-) -> FailureGrid:
+) -> Grid:
     """Figure 10: refresh + long IRR TTLs of 1/3/5/7 days, 6 h attack."""
-    schemes = [vanilla_column()]
-    for value in days:
-        schemes.append(
-            (f"{value} Day TTL", ResilienceConfig.refresh_long_ttl(value))
-        )
-    return run_scheme_grid(
-        scenario, schemes, "Figure 10 — TTL Refresh + Long-TTL",
-        trace_limit=trace_limit, seed=seed,
+    schemes = [
+        (f"{value} Day TTL", ResilienceConfig.refresh_long_ttl(value))
+        for value in days
+    ]
+    return failure_grid(
+        scenario, "Figure 10 — TTL Refresh + Long-TTL",
+        scheme_columns(schemes), trace_limit=trace_limit, seed=seed,
     )
 
 
@@ -231,20 +209,19 @@ def figure11(
     credit: float = 3.0,
     trace_limit: int | None = None,
     seed: int = 0,
-) -> FailureGrid:
+) -> Grid:
     """Figure 11: refresh + A-LFU renewal + long TTLs of 1/3/5/7 days."""
-    schemes = [vanilla_column()]
-    for value in days:
-        schemes.append(
-            (
-                f"{value} Day TTL",
-                ResilienceConfig.combination(days=value, policy=policy,
-                                             credit=credit),
-            )
+    schemes = [
+        (
+            f"{value} Day TTL",
+            ResilienceConfig.combination(days=value, policy=policy,
+                                         credit=credit),
         )
-    return run_scheme_grid(
-        scenario, schemes, "Figure 11 — TTL Refresh + Renew + Long-TTL",
-        trace_limit=trace_limit, seed=seed,
+        for value in days
+    ]
+    return failure_grid(
+        scenario, "Figure 11 — TTL Refresh + Renew + Long-TTL",
+        scheme_columns(schemes), trace_limit=trace_limit, seed=seed,
     )
 
 
@@ -263,29 +240,20 @@ TABLE2_SCHEMES: tuple[tuple[str, ResilienceConfig], ...] = (
     ("Combination", ResilienceConfig.combination(days=3, policy="a-lfu", credit=3)),
 )
 
+#: Table 2's vanilla baseline column (not a reported row).
+BASELINE = "__baseline__"
 
-@dataclass
-class Table2Result:
-    """Message and byte overhead per scheme vs vanilla, over traces."""
 
-    per_trace: dict[str, MessageOverheadTable]
-    mean_overhead: dict[str, float]
-    mean_byte_overhead: dict[str, float] = field(default_factory=dict)
-
-    def render(self) -> str:
-        rows = [
-            (
-                label,
-                f"{overhead * 100:+.1f} %",
-                f"{self.mean_byte_overhead.get(label, 0.0) * 100:+.1f} %",
-            )
-            for label, overhead in self.mean_overhead.items()
-        ]
-        return format_table(
-            ("Scheme", "Message overhead", "Byte overhead"),
-            rows,
-            title="Table 2 — traffic overhead vs vanilla (no attack)",
+def mean_overhead(grid: Grid, scheme: str, kind: str = "message") -> float:
+    """A Table 2 scheme's ``kind`` ("message" or "byte") overhead vs the
+    vanilla baseline, averaged over the traces."""
+    overheads: list[float] = [
+        getattr(grid.cell(trace=trace, scheme=scheme), f"{kind}_overhead_vs")(
+            grid.cell(trace=trace, scheme=BASELINE)
         )
+        for trace in grid.axes["trace"]
+    ]
+    return sum(overheads) / len(overheads)
 
 
 def table2(
@@ -294,37 +262,31 @@ def table2(
     trace_limit: int | None = 3,
     seed: int = 0,
     workers: int | None = None,
-) -> Table2Result:
+) -> Grid:
     """Table 2: outgoing-message overhead of every scheme vs vanilla.
 
-    The (trace × scheme) replays — baseline included — form one batch;
-    summaries stand in for metrics in the overhead tables.
+    The (trace × scheme) replays — baseline included — form one batch.
     """
-    per_trace: dict[str, MessageOverheadTable] = {}
-    sums: dict[str, float] = {label: 0.0 for label, _ in schemes}
-    byte_sums: dict[str, float] = {label: 0.0 for label, _ in schemes}
-    names = Scenario.WEEK_TRACES[
-        : trace_limit or scenario.parameters.week_trace_count
-    ]
-    columns = (("__baseline__", ResilienceConfig.vanilla()), *schemes)
-    specs = [
-        ReplaySpec.for_scenario(scenario, name, config, seed=seed)
-        for name in names
-        for _, config in columns
-    ]
-    summaries = iter(run_replays(specs, workers))
-    for name in names:
-        baseline = next(summaries)
-        table = MessageOverheadTable(baseline=baseline)
-        for label, _ in schemes:
-            summary = next(summaries)
-            sums[label] += table.add_scheme(label, summary)
-            byte_sums[label] += summary.byte_overhead_vs(baseline)
-        per_trace[name] = table
-    mean = {label: total / len(names) for label, total in sums.items()}
-    byte_mean = {label: total / len(names) for label, total in byte_sums.items()}
-    return Table2Result(per_trace=per_trace, mean_overhead=mean,
-                        mean_byte_overhead=byte_mean)
+    configs = {BASELINE: ResilienceConfig.vanilla(), **dict(schemes)}
+    grid = Sweep(
+        {"trace": week_traces(scenario, trace_limit), "scheme": tuple(configs)},
+        lambda trace, scheme: ReplaySpec.for_scenario(
+            scenario, trace, configs[scheme], seed=seed
+        ),
+    ).run(workers)
+    table = Table(
+        "Table 2 — traffic overhead vs vanilla (no attack)",
+        rows=("scheme",),
+        columns=[("Scheme", coord("scheme"))] + [
+            (header, lambda g, kind=kind: (
+                f"{mean_overhead(grid, g.at['scheme'], kind) * 100:+.1f} %"))
+            for header, kind in (("Message overhead", "message"),
+                                 ("Byte overhead", "byte"))
+        ],
+    )
+    return grid.tabulate(
+        lambda full: table(full.select(scheme=[label for label, _ in schemes]))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +305,23 @@ FIGURE12_SCHEMES: tuple[tuple[str, ResilienceConfig], ...] = (
 )
 
 
-@dataclass
-class Figure12Result:
-    """Cache-occupancy series over the month trace, per scheme."""
-
-    series: dict[str, MemoryOverheadSeries]
-    occupancy_ratios: dict[str, float] = field(default_factory=dict)
-
-    def render(self) -> str:
-        rows = []
-        for label, series in self.series.items():
-            rows.append(
-                (
-                    label,
-                    series.peak_zones(),
-                    series.peak_records(),
-                    f"{series.steady_state_mean_records():,.0f}",
-                    f"{self.occupancy_ratios.get(label, 1.0):.2f}x",
-                    f"{series.estimated_peak_bytes() / 1e6:.1f} MB",
-                )
-            )
-        return format_table(
-            ("Scheme", "Peak zones", "Peak records", "Steady records",
-             "vs DNS", "Est. peak mem"),
-            rows,
-            title="Figure 12 — memory overhead over the one-month trace (TRC6)",
+def memory_series(grid: Grid) -> dict[str, MemoryOverheadSeries]:
+    """Figure 12's cache-occupancy series, one per scheme."""
+    return {
+        scheme: MemoryOverheadSeries(
+            label=scheme, samples=list(grid.cell(scheme=scheme).memory_samples)
         )
+        for scheme in grid.axes["scheme"]
+    }
+
+
+def occupancy_ratio(grid: Grid, scheme: str) -> float:
+    """Mean records cached by ``scheme`` relative to "DNS" (1.0 without
+    a DNS column)."""
+    if "DNS" not in grid.axes["scheme"]:
+        return 1.0
+    series = memory_series(grid)
+    return series[scheme].occupancy_ratio_vs(series["DNS"])
 
 
 def figure12(
@@ -377,23 +330,32 @@ def figure12(
     sample_interval: float = 6 * 3600.0,
     seed: int = 0,
     workers: int | None = None,
-) -> Figure12Result:
+) -> Grid:
     """Figure 12: cached zones/records over time for each scheme (TRC6)."""
-    specs = [
-        ReplaySpec.for_scenario(
-            scenario, Scenario.MONTH_TRACE, config,
+    configs = dict(schemes)
+    grid = Sweep(
+        {"scheme": tuple(configs)},
+        lambda scheme: ReplaySpec.for_scenario(
+            scenario, Scenario.MONTH_TRACE, configs[scheme],
             memory_sample_interval=sample_interval, seed=seed,
-        )
-        for _, config in schemes
-    ]
-    series: dict[str, MemoryOverheadSeries] = {}
-    for (label, _), summary in zip(schemes, run_replays(specs, workers)):
-        series[label] = MemoryOverheadSeries(
-            label=label, samples=list(summary.memory_samples)
-        )
-    outcome = Figure12Result(series=series)
-    baseline = series.get("DNS")
-    if baseline is not None:
-        for label, entry in series.items():
-            outcome.occupancy_ratios[label] = entry.occupancy_ratio_vs(baseline)
-    return outcome
+        ),
+    ).run(workers)
+
+    def series(group: Grid) -> MemoryOverheadSeries:
+        return memory_series(grid)[group.at["scheme"]]
+
+    return grid.tabulate(Table(
+        "Figure 12 — memory overhead over the one-month trace (TRC6)",
+        rows=("scheme",),
+        columns=(
+            ("Scheme", coord("scheme")),
+            ("Peak zones", lambda g: series(g).peak_zones()),
+            ("Peak records", lambda g: series(g).peak_records()),
+            ("Steady records",
+             lambda g: f"{series(g).steady_state_mean_records():,.0f}"),
+            ("vs DNS",
+             lambda g: f"{occupancy_ratio(grid, g.at['scheme']):.2f}x"),
+            ("Est. peak mem",
+             lambda g: f"{series(g).estimated_peak_bytes() / 1e6:.1f} MB"),
+        ),
+    ))

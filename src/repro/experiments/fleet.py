@@ -6,21 +6,20 @@ servers (or stub-resolvers)".  :func:`run_fleet_replay` models exactly
 that: one engine, one network, one attack — many independent resolvers,
 each replaying its own organisation's trace.
 
-The result exposes both per-organisation and aggregate failure rates, so
-fleet-level questions ("how many lookups did the Internet lose?") have a
-first-class answer.
+:func:`summarize_fleet` reduces the members to a
+:class:`~repro.experiments.summary.FleetSummary`, which exposes both
+per-organisation and aggregate failure rates, so fleet-level questions
+("how many lookups did the Internet lose?") have a first-class answer.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.analysis.report import format_table
 from repro.core.caching_server import CachingServer
 from repro.core.config import ResilienceConfig
-from repro.experiments.harness import AttackSpec
+from repro.experiments.harness import AttackSpec, ReplayResult
 from repro.experiments.parallel import (
     FleetMemberSummary,
     FleetSpec,
@@ -30,99 +29,24 @@ from repro.experiments.parallel import (
 from repro.experiments.scenarios import Scenario
 from repro.hierarchy.builder import BuiltHierarchy
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.metrics import ReplayMetrics, WindowCounters
+from repro.simulation.metrics import ReplayMetrics
 from repro.simulation.network import Network
 from repro.workload.trace import Trace, TraceQuery
 
 
-@dataclass
-class FleetMemberResult:
-    """One organisation's replay outcome."""
-
-    trace_name: str
-    metrics: ReplayMetrics
-    window: WindowCounters | None
-    server: CachingServer
-
-    @property
-    def sr_queries(self) -> int:
-        return self.metrics.sr_queries
-
-
-def render_fleet_table(
-    label: str,
-    members: "Sequence[FleetMemberResult | FleetMemberSummary]",
-    aggregate_rate: float,
-) -> str:
-    """The fleet table shared by full results and picklable summaries.
-
-    ``members`` need ``trace_name``, ``sr_queries`` and ``window``.
-    """
-    body = []
-    for member in members:
-        window = member.window
-        body.append(
-            (
-                member.trace_name,
-                member.sr_queries,
-                f"{window.sr_failure_rate * 100:.1f} %" if window else "-",
-                f"{window.cs_failure_rate * 100:.1f} %" if window else "-",
+def summarize_fleet(members: Sequence[ReplayResult]) -> FleetSummary:
+    """The picklable :class:`FleetSummary` of one fleet replay."""
+    return FleetSummary(
+        label=members[0].label,
+        members=[
+            FleetMemberSummary(
+                trace_name=member.trace_name,
+                sr_queries=member.metrics.sr_queries,
+                window=member.window,
             )
-        )
-    body.append(
-        (
-            "fleet",
-            sum(member.sr_queries for member in members),
-            f"{aggregate_rate * 100:.1f} %",
-            "-",
-        )
+            for member in members
+        ],
     )
-    return format_table(
-        ("Organisation", "Lookups", "SR failures (attack)",
-         "CS failures (attack)"),
-        body,
-        title=f"Fleet replay — scheme: {label}",
-    )
-
-
-@dataclass
-class FleetReplayResult:
-    """Per-member results plus fleet-wide aggregates."""
-
-    label: str
-    members: list[FleetMemberResult]
-
-    def aggregate_sr_failure_rate(self) -> float:
-        """Fleet-wide SR failure fraction inside the attack window."""
-        queries = sum(
-            member.window.sr_queries for member in self.members
-            if member.window is not None
-        )
-        failures = sum(
-            member.window.sr_failures for member in self.members
-            if member.window is not None
-        )
-        if queries == 0:
-            return 0.0
-        return failures / queries
-
-    def total_failed_lookups(self) -> int:
-        """The §6 damage currency: failed lookups across the fleet."""
-        return sum(
-            member.window.sr_failures for member in self.members
-            if member.window is not None
-        )
-
-    def member(self, trace_name: str) -> FleetMemberResult:
-        for entry in self.members:
-            if entry.trace_name == trace_name:
-                return entry
-        raise KeyError(trace_name)
-
-    def render(self) -> str:
-        return render_fleet_table(
-            self.label, self.members, self.aggregate_sr_failure_rate()
-        )
 
 
 def run_fleet_replay(
@@ -131,13 +55,13 @@ def run_fleet_replay(
     config: ResilienceConfig,
     attack: AttackSpec | None = None,
     seed: int = 0,
-) -> FleetReplayResult:
+) -> list[ReplayResult]:
     """Replay each trace through its own caching server, time-interleaved.
 
     All servers share the engine (so renewal timers and trace queries
     interleave correctly), the network, and the attack schedule; caches
     and metrics are private per server, exactly like independent
-    organisations.
+    organisations.  Returns one live result per member, in trace order.
     """
     if not traces:
         raise ValueError("a fleet needs at least one trace")
@@ -159,13 +83,12 @@ def _run(
     config: ResilienceConfig,
     attack: AttackSpec | None,
     seed: int,
-) -> FleetReplayResult:
+) -> list[ReplayResult]:
     engine = SimulationEngine()
     schedule = attack.build_schedule(built) if attack is not None else None
     network = Network(built.tree, attacks=schedule)
 
-    members: list[FleetMemberResult] = []
-    servers: list[CachingServer] = []
+    members: list[ReplayResult] = []
     for index, trace in enumerate(traces):
         metrics = ReplayMetrics()
         window = None
@@ -179,13 +102,10 @@ def _run(
             metrics=metrics,
             seed=seed + index,
         )
-        members.append(
-            FleetMemberResult(
-                trace_name=trace.name, metrics=metrics, window=window,
-                server=server,
-            )
-        )
-        servers.append(server)
+        members.append(ReplayResult(
+            label=config.label, trace_name=trace.name, metrics=metrics,
+            window=window, gap_tracker=None, server=server,
+        ))
 
     # Interleave all traces by timestamp; each query goes to its owner.
     def tagged(
@@ -197,10 +117,11 @@ def _run(
     streams = [tagged(index, trace) for index, trace in enumerate(traces)]
     for time, index, query in heapq.merge(*streams):
         engine.advance_to(time)
-        servers[index].handle_stub_query(query.qname, query.rrtype, time)
+        members[index].server.handle_stub_query(query.qname, query.rrtype,
+                                                time)
     engine.advance_to(max(trace.duration for trace in traces))
 
-    return FleetReplayResult(label=config.label, members=members)
+    return members
 
 
 def fleet_attack_comparison(

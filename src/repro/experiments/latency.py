@@ -12,57 +12,20 @@ other: fewer tree walks ⇒ fewer round trips ⇒ lower latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
-from repro.experiments.harness import run_replay
+from repro.experiments.parallel import ReplaySpec
 from repro.experiments.registry import resolve_scale
-from repro.experiments.scenarios import Scale, Scenario, make_scenario
+from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.sweep import Grid, Sweep, Table, coord
 
-
-@dataclass
-class LatencyRow:
-    label: str
-    mean_latency: float
-    cache_hit_rate: float
-    cs_queries_per_lookup: float
-
-
-@dataclass
-class LatencyResult:
-    rows: list[LatencyRow]
-
-    def render(self) -> str:
-        body = [
-            (
-                row.label,
-                f"{row.mean_latency * 1000:.1f} ms",
-                f"{row.cache_hit_rate * 100:.1f} %",
-                f"{row.cs_queries_per_lookup:.3f}",
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ("Scheme", "Mean wait / lookup", "SR cache hits", "CS queries / lookup"),
-            body,
-            title="Response time — normal operation (no attack)",
-        )
-
-    def row(self, label: str) -> LatencyRow:
-        for entry in self.rows:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
-
-
-DEFAULT_SCHEMES = (
-    ("vanilla", ResilienceConfig.vanilla()),
-    ("refresh", ResilienceConfig.refresh()),
-    ("refresh+a-lfu3", ResilienceConfig.refresh_renew("a-lfu", 3)),
-    ("refresh+ttl7d", ResilienceConfig.refresh_long_ttl(7)),
-    ("combination", ResilienceConfig.combination()),
-)
+DEFAULT_SCHEMES = {
+    "vanilla": ResilienceConfig.vanilla(),
+    "refresh": ResilienceConfig.refresh(),
+    "refresh+a-lfu3": ResilienceConfig.refresh_renew("a-lfu", 3),
+    "refresh+ttl7d": ResilienceConfig.refresh_long_ttl(7),
+    "combination": ResilienceConfig.combination(),
+}
 
 
 @dataclass(frozen=True)
@@ -74,36 +37,31 @@ class LatencySpec:
     trace_name: str = "TRC1"
 
 
-def run(spec: LatencySpec) -> LatencyResult:
-    """Registry entry point: build the scenario, run the comparison."""
-    scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
-    return _latency_experiment(scenario, trace_name=spec.trace_name)
+def per_lookup(group: Grid, attr: str) -> float:
+    """``attr`` per stub lookup of the group's single replay."""
+    count: int = getattr(group.one, attr)
+    queries: int = group.one.sr_queries
+    return count / queries if queries else 0.0
 
 
-def _latency_experiment(
-    scenario: Scenario,
-    schemes: Sequence[tuple[str, ResilienceConfig]] = DEFAULT_SCHEMES,
-    trace_name: str = "TRC1",
-    seed: int = 0,
-) -> LatencyResult:
+def run(spec: LatencySpec) -> Grid:
     """Mean response time per scheme over a full no-attack replay."""
-    trace = scenario.trace(trace_name)
-    rows = []
-    for label, config in schemes:
-        result = run_replay(scenario.built, trace, config, seed=seed)
-        metrics = result.metrics
-        rows.append(
-            LatencyRow(
-                label=label,
-                mean_latency=metrics.mean_latency,
-                cache_hit_rate=(
-                    metrics.sr_cache_hits / metrics.sr_queries
-                    if metrics.sr_queries else 0.0
-                ),
-                cs_queries_per_lookup=(
-                    metrics.cs_demand_queries / metrics.sr_queries
-                    if metrics.sr_queries else 0.0
-                ),
-            )
-        )
-    return LatencyResult(rows=rows)
+    scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
+    grid = Sweep(
+        {"scheme": tuple(DEFAULT_SCHEMES)},
+        lambda scheme: ReplaySpec.for_scenario(
+            scenario, spec.trace_name, DEFAULT_SCHEMES[scheme]
+        ),
+    ).run()
+    return grid.tabulate(Table(
+        "Response time — normal operation (no attack)",
+        rows=("scheme",),
+        columns=(
+            ("Scheme", coord("scheme")),
+            ("Mean wait / lookup", lambda g: f"{g.one.mean_latency * 1000:.1f} ms"),
+            ("SR cache hits",
+             lambda g: f"{per_lookup(g, 'sr_cache_hits') * 100:.1f} %"),
+            ("CS queries / lookup",
+             lambda g: f"{per_lookup(g, 'cs_demand_queries'):.3f}"),
+        ),
+    ))

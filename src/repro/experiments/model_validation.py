@@ -13,59 +13,22 @@ criterion, not exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analysis.model import SchemeModel, predict_cached_zone_count
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.dns.name import Name
 from repro.experiments.harness import run_replay
 from repro.experiments.scenarios import Scenario
+from repro.experiments.sweep import Grid, Table, coord
 
 DAY = 86400.0
 
 
-@dataclass
-class ModelValidationRow:
-    scheme: str
-    predicted: float
-    measured: int
-
-    @property
-    def relative_error(self) -> float:
-        if self.measured == 0:
-            return float("inf") if self.predicted > 0 else 0.0
-        return abs(self.predicted - self.measured) / self.measured
-
-
-@dataclass
-class ModelValidationResult:
-    rows: list[ModelValidationRow]
-
-    def render(self) -> str:
-        body = [
-            (
-                row.scheme,
-                f"{row.predicted:.1f}",
-                row.measured,
-                f"{row.relative_error * 100:.0f} %",
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ("Scheme", "Model: E[zones cached]", "Simulated", "Rel. error"),
-            body,
-            title=(
-                "Analytical model vs simulation — zones with live IRRs at "
-                "the attack instant (day 7)"
-            ),
-        )
-
-    def row(self, scheme: str) -> ModelValidationRow:
-        for entry in self.rows:
-            if entry.scheme == scheme:
-                return entry
-        raise KeyError(scheme)
+def relative_error(cell: dict[str, float]) -> float:
+    """|predicted - measured| / measured for one scheme's cell."""
+    predicted, measured = cell["predicted"], cell["measured"]
+    if measured == 0:
+        return float("inf") if predicted > 0 else 0.0
+    return abs(predicted - measured) / measured
 
 
 _SCHEMES: tuple[tuple[ResilienceConfig, SchemeModel], ...] = (
@@ -87,15 +50,20 @@ def model_validation(
     trace_name: str = "TRC1",
     instant: float | None = None,
     seed: int = 0,
-) -> ModelValidationResult:
-    """Model-vs-simulation comparison at ``instant`` (default day 6)."""
+) -> Grid:
+    """Model-vs-simulation comparison at ``instant`` (default day 6).
+
+    The measurement reads the live server's ``zone_contact_counts``, so
+    the replays run in-process; cells are ``{"predicted", "measured"}``
+    dicts, one per scheme.
+    """
     trace = scenario.trace(trace_name)
     probe_time = 6 * DAY if instant is None else instant
     irr_ttls: dict[Name, float] = {
         zone.name: zone.infrastructure_records.ns.ttl
         for zone in scenario.built.tree.zones()
     }
-    rows = []
+    cells = []
     for config, model in _SCHEMES:
         # Sample cache occupancy during the replay so the measurement is
         # a true snapshot at the probe instant (the end-state cache would
@@ -121,11 +89,18 @@ def model_validation(
             result.metrics.memory_samples,
             key=lambda sample: abs(sample.time - probe_time),
         )
-        rows.append(
-            ModelValidationRow(
-                scheme=model.name,
-                predicted=predicted,
-                measured=probe_sample.zones_cached,
-            )
-        )
-    return ModelValidationResult(rows=rows)
+        cells.append({"predicted": predicted,
+                      "measured": probe_sample.zones_cached})
+    grid = Grid(axes={"scheme": tuple(model.name for _, model in _SCHEMES)},
+                cells=tuple(cells))
+    return grid.tabulate(Table(
+        "Analytical model vs simulation — zones with live IRRs at "
+        "the attack instant (day 7)",
+        rows=("scheme",),
+        columns=(
+            ("Scheme", coord("scheme")),
+            ("Model: E[zones cached]", lambda g: f"{g.one['predicted']:.1f}"),
+            ("Simulated", lambda g: g.one["measured"]),
+            ("Rel. error", lambda g: f"{relative_error(g.one) * 100:.0f} %"),
+        ),
+    ))

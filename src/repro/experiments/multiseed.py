@@ -10,73 +10,16 @@ form of every headline number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.experiments.harness import AttackSpec
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec
 from repro.experiments.registry import resolve_scale
-from repro.experiments.scenarios import Scale, Scenario, make_scenario
+from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.sweep import Grid, Sweep, Table, coord, format_spread
 
 HOUR = 3600.0
-
-
-@dataclass(frozen=True)
-class SeedStatistics:
-    """Mean ± std of one metric over seeds."""
-
-    mean: float
-    std: float
-    samples: tuple[float, ...]
-
-    @classmethod
-    def from_samples(cls, samples: list[float]) -> "SeedStatistics":
-        if not samples:
-            raise ValueError("no samples")
-        mean = sum(samples) / len(samples)
-        if len(samples) == 1:
-            std = 0.0
-        else:
-            variance = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
-            std = math.sqrt(variance)
-        return cls(mean=mean, std=std, samples=tuple(samples))
-
-    def __str__(self) -> str:
-        return f"{self.mean * 100:.2f} ± {self.std * 100:.2f} %"
-
-
-@dataclass
-class MultiSeedRow:
-    scheme: str
-    sr: SeedStatistics
-    cs: SeedStatistics
-
-
-@dataclass
-class MultiSeedResult:
-    seeds: tuple[int, ...]
-    rows: list[MultiSeedRow]
-
-    def render(self) -> str:
-        body = [(row.scheme, str(row.sr), str(row.cs)) for row in self.rows]
-        return format_table(
-            ("Scheme", "SR failures (mean ± std)", "CS failures (mean ± std)"),
-            body,
-            title=(
-                f"Multi-seed replication over seeds {list(self.seeds)} "
-                "(6 h root+TLD attack)"
-            ),
-        )
-
-    def row(self, scheme: str) -> MultiSeedRow:
-        for entry in self.rows:
-            if entry.scheme == scheme:
-                return entry
-        raise KeyError(scheme)
-
 
 DEFAULT_SCHEMES = (
     ResilienceConfig.vanilla(),
@@ -97,53 +40,32 @@ class MultiSeedSpec:
     attack_hours: float = 6.0
 
 
-def run(spec: MultiSeedSpec) -> MultiSeedResult:
-    """Registry entry point: replicate the headline rates across seeds."""
-    scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
-    return _multiseed_experiment(
-        scenario,
-        seeds=spec.seeds,
-        trace_name=spec.trace_name,
-        attack_hours=spec.attack_hours,
-    )
-
-
-def _multiseed_experiment(
-    scenario: Scenario,
-    schemes: Sequence[ResilienceConfig] = DEFAULT_SCHEMES,
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    trace_name: str = "TRC1",
-    attack_hours: float = 6.0,
-    workers: int | None = None,
-) -> MultiSeedResult:
+def run(spec: MultiSeedSpec) -> Grid:
     """Replay one trace per scheme across several resolver seeds.
 
-    The scheme × seed replays are independent and run through the batch
-    runner (``workers`` defaults to ``$REPRO_WORKERS``).
+    Raises:
+        ValueError: when ``seeds`` is empty.
     """
-    if not seeds:
-        raise ValueError("need at least one seed")
+    scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
     attack = AttackSpec(start=scenario.attack_start,
-                        duration=attack_hours * HOUR)
-    specs = [
-        ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack,
-                                seed=seed)
-        for config in schemes
-        for seed in seeds
-    ]
-    summaries = iter(run_replays(specs, workers))
-    rows = []
-    for config in schemes:
-        per_seed = [next(summaries) for _ in seeds]
-        rows.append(
-            MultiSeedRow(
-                scheme=config.label,
-                sr=SeedStatistics.from_samples(
-                    [s.sr_attack_failure_rate for s in per_seed]
-                ),
-                cs=SeedStatistics.from_samples(
-                    [s.cs_attack_failure_rate for s in per_seed]
-                ),
-            )
-        )
-    return MultiSeedResult(seeds=tuple(seeds), rows=rows)
+                        duration=spec.attack_hours * HOUR)
+    configs = {config.label: config for config in DEFAULT_SCHEMES}
+    grid = Sweep(
+        {"scheme": tuple(configs), "seed": spec.seeds},
+        lambda scheme, seed: ReplaySpec.for_scenario(
+            scenario, spec.trace_name, configs[scheme], attack=attack,
+            seed=seed,
+        ),
+    ).run()
+    return grid.tabulate(Table(
+        f"Multi-seed replication over seeds {list(spec.seeds)} "
+        "(6 h root+TLD attack)",
+        rows=("scheme",),
+        columns=(
+            ("Scheme", coord("scheme")),
+            ("SR failures (mean ± std)",
+             lambda g: format_spread(g.values("sr_attack_failure_rate"))),
+            ("CS failures (mean ± std)",
+             lambda g: format_spread(g.values("cs_attack_failure_rate"))),
+        ),
+    ))

@@ -34,8 +34,7 @@ Four design rules keep this correct and cheap:
 ``REPRO_WORKERS`` selects the default worker count; ``workers=1`` (or an
 unset variable) preserves the original fully-serial behaviour.  A warm
 pool is kept alive between :func:`run_replays` calls so a sweep pays the
-fork + warm-up cost once, not once per sweep point; set
-``REPRO_POOL_REUSE=0`` to restore a fresh pool per call.
+fork + warm-up cost once, not once per sweep point.
 """
 
 from __future__ import annotations
@@ -71,13 +70,11 @@ __all__ = [
     "FleetSpec",
     "FleetSummary",
     "OverheadComparable",
-    "POOL_REUSE_ENV_VAR",
     "ReplayExecutionError",
     "ReplaySpec",
     "ReplaySummary",
     "WORKERS_ENV_VAR",
     "default_worker_count",
-    "pool_reuse_enabled",
     "run_replays",
     "shutdown_shared_pool",
     "summarize_replay",
@@ -86,9 +83,6 @@ __all__ = [
 
 #: Environment variable selecting the default worker count.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Environment variable gating cross-call pool reuse ("0" disables).
-POOL_REUSE_ENV_VAR = "REPRO_POOL_REUSE"
 
 
 class ReplayExecutionError(RuntimeError):
@@ -266,11 +260,6 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1  # pragma: no cover - non-Linux
 
 
-def pool_reuse_enabled() -> bool:
-    """Whether run_replays keeps its worker pool warm between calls."""
-    return os.environ.get(POOL_REUSE_ENV_VAR, "") != "0"
-
-
 #: One scenario's warm-up key: (scale, scenario seed, trace names).
 _WarmKey = tuple[Scale, int, tuple[str, ...]]
 
@@ -322,8 +311,7 @@ def _prepare_shared(
 # The shared pool: created by the first parallel run_replays call and
 # kept warm for the rest of the sweep (fork + scenario warm-up is paid
 # once, not once per sweep point).  Discarded whenever a run breaks it
-# (timeout, dead worker), the requested worker count changes, or reuse
-# is disabled via $REPRO_POOL_REUSE=0.
+# (timeout, dead worker) or the requested worker count changes.
 _shared_pool: ProcessPoolExecutor | None = None
 _shared_pool_workers: int = 0
 
@@ -351,7 +339,7 @@ def _acquire_pool(
     """
     global _shared_pool, _shared_pool_workers
     if _shared_pool is not None:
-        if pool_reuse_enabled() and _shared_pool_workers == workers:
+        if _shared_pool_workers == workers:
             return _shared_pool
         shutdown_shared_pool()
     return ProcessPoolExecutor(
@@ -364,7 +352,7 @@ def _acquire_pool(
 def _release_pool(pool: ProcessPoolExecutor, workers: int, broken: bool) -> None:
     """Keep a healthy pool warm for the next call; discard a broken one."""
     global _shared_pool, _shared_pool_workers
-    if broken or not pool_reuse_enabled():
+    if broken:
         if pool is _shared_pool:
             _shared_pool = None
         pool.shutdown(wait=False, cancel_futures=True)
@@ -377,25 +365,14 @@ def _execute_spec(spec: ReplaySpec | FleetSpec) -> "ReplaySummary | FleetSummary
     """Run one spec in this process and summarise the outcome."""
     if isinstance(spec, FleetSpec):
         # Imported lazily: fleet.py builds on this module's batch API.
-        from repro.experiments.fleet import run_fleet_replay
+        from repro.experiments.fleet import run_fleet_replay, summarize_fleet
 
         scenario = make_scenario(spec.scale, spec.scenario_seed)
         traces = [scenario.trace(name) for name in spec.trace_names]
-        result = run_fleet_replay(
+        return summarize_fleet(run_fleet_replay(
             scenario.built, traces, spec.config, attack=spec.attack,
             seed=spec.seed,
-        )
-        return FleetSummary(
-            label=result.label,
-            members=[
-                FleetMemberSummary(
-                    trace_name=member.trace_name,
-                    sr_queries=member.metrics.sr_queries,
-                    window=member.window,
-                )
-                for member in result.members
-            ],
-        )
+        ))
     scenario = make_scenario(spec.scale, spec.scenario_seed)
     trace = scenario.trace(spec.trace_name)
     result = run_replay(

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.core.schemes import parse_scheme
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.summary import ReplaySummary
+from repro.experiments.sweep import Grid, Sweep, Table, coord, percentile, pivot
 from repro.simulation.adversary import AdversarySpec, PoisonAttackSpec
 
 
@@ -58,72 +59,6 @@ class PoisoningSpec:
     forger's race odds (20 bits ~ random port + ID)."""
 
 
-@dataclass(frozen=True)
-class PoisoningCell:
-    """One (scheme row, rate) replay outcome."""
-
-    scheme: str
-    rate: float
-    attempts: int
-    stored: int
-    cured: int
-    dwells: tuple[float, ...]
-
-    @property
-    def dwell_p50(self) -> float:
-        return _percentile(self.dwells, 0.50)
-
-    @property
-    def dwell_p90(self) -> float:
-        return _percentile(self.dwells, 0.90)
-
-
-@dataclass
-class PoisoningResult:
-    """The sweep's cells, renderable as the dwell-time grid."""
-
-    rates: tuple[float, ...]
-    schemes: tuple[str, ...]
-    cells: list[PoisoningCell]
-
-    def cell(self, scheme: str, rate: float) -> PoisoningCell:
-        for entry in self.cells:
-            if entry.scheme == scheme and entry.rate == rate:
-                return entry
-        raise KeyError((scheme, rate))
-
-    def render(self) -> str:
-        headers = ["Scheme"] + [f"rate={rate:g}" for rate in self.rates]
-        body = []
-        for scheme in self.schemes:
-            row = [scheme]
-            for rate in self.rates:
-                cell = self.cell(scheme, rate)
-                if not cell.dwells:
-                    row.append(f"{cell.stored} stuck")
-                else:
-                    row.append(
-                        f"{cell.stored} stuck"
-                        f" p50={_fmt_secs(cell.dwell_p50)}"
-                        f" p90={_fmt_secs(cell.dwell_p90)}"
-                    )
-            body.append(row)
-        return format_table(
-            headers,
-            body,
-            title="Poisoned entries stored / dwell time before cure",
-        )
-
-
-def _percentile(values: tuple[float, ...], q: float) -> float:
-    """Nearest-rank percentile; 0.0 for an empty sample."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
-
-
 def _fmt_secs(seconds: float) -> str:
     if seconds >= 3600.0:
         return f"{seconds / 3600.0:.1f}h"
@@ -143,7 +78,7 @@ def _guarded(base: ResilienceConfig, entropy_bits: int) -> ResilienceConfig:
     )
 
 
-def run(spec: PoisoningSpec) -> PoisoningResult:
+def run(spec: PoisoningSpec) -> Grid:
     """Registry entry point: sweep injection rate × scheme (+guard).
 
     Raises:
@@ -153,53 +88,49 @@ def run(spec: PoisoningSpec) -> PoisoningResult:
     scheme_names = [
         name.strip() for name in spec.schemes.split(",") if name.strip()
     ]
-    if not scheme_names:
-        raise ValueError("need at least one scheme")
-    if not spec.rates:
-        raise ValueError("need at least one injection rate")
     for rate in spec.rates:
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"injection rate must be in (0, 1], got {rate}")
     if spec.entropy_bits < 0:
         raise ValueError("entropy_bits must be >= 0")
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
-    configs: list[ResilienceConfig] = []
+    configs: dict[str, ResilienceConfig] = {}
     for name in scheme_names:
         base = parse_scheme(name)
-        configs.append(base)
-        configs.append(_guarded(base, spec.entropy_bits))
-    specs = [
-        ReplaySpec.for_scenario(
+        for config in (base, _guarded(base, spec.entropy_bits)):
+            configs[config.label] = config
+    grid = Sweep(
+        {"scheme": tuple(configs), "rate": spec.rates},
+        lambda scheme, rate: ReplaySpec.for_scenario(
             scenario,
             spec.trace_name,
-            config,
+            configs[scheme],
             seed=spec.seed,
             adversary=AdversarySpec(
                 poison=PoisonAttackSpec(
                     rate=rate, success=spec.success, ttl=spec.ttl,
                 )
             ),
-        )
-        for config in configs
-        for rate in spec.rates
-    ]
-    summaries = iter(run_replays(specs))
-    cells = []
-    for config in configs:
-        for rate in spec.rates:
-            summary = next(summaries)
-            cells.append(
-                PoisoningCell(
-                    scheme=config.label,
-                    rate=rate,
-                    attempts=summary.poison_attempts,
-                    stored=summary.poison_stored,
-                    cured=summary.poison_cured,
-                    dwells=tuple(summary.poison_dwells),
-                )
-            )
-    return PoisoningResult(
-        rates=spec.rates,
-        schemes=tuple(config.label for config in configs),
-        cells=cells,
+        ),
+    ).run()
+    return grid.tabulate(Table(
+        "Poisoned entries stored / dwell time before cure",
+        rows=("scheme",),
+        columns=[
+            ("Scheme", coord("scheme")),
+            *pivot("rate", spec.rates, lambda rate: f"rate={rate:g}",
+                   _dwell_cell),
+        ],
+    ))
+
+
+def _dwell_cell(summary: ReplaySummary) -> str:
+    """``'N stuck'`` plus the p50/p90 dwell times when any forgery stuck."""
+    stuck = f"{summary.poison_stored} stuck"
+    dwells = summary.poison_dwells
+    if not dwells:
+        return stuck
+    return (
+        f"{stuck} p50={_fmt_secs(percentile(dwells, 0.50))}"
+        f" p90={_fmt_secs(percentile(dwells, 0.90))}"
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
 from repro.analysis.gaps import GapSample
+from repro.analysis.report import format_percent, format_table
 from repro.simulation.metrics import MemorySample, WindowCounters
 
 if TYPE_CHECKING:
@@ -273,10 +274,30 @@ class FleetSummary:
         raise KeyError(trace_name)
 
     def render(self) -> str:
-        from repro.experiments.fleet import render_fleet_table
-
-        return render_fleet_table(self.label, self.members,
-                                  self.aggregate_sr_failure_rate())
+        """One row per organisation plus the fleet-wide aggregate row."""
+        body = [
+            (
+                member.trace_name,
+                member.sr_queries,
+                format_percent(member.window.sr_failure_rate)
+                if member.window else "-",
+                format_percent(member.window.cs_failure_rate)
+                if member.window else "-",
+            )
+            for member in self.members
+        ]
+        body.append((
+            "fleet",
+            sum(member.sr_queries for member in self.members),
+            format_percent(self.aggregate_sr_failure_rate()),
+            "-",
+        ))
+        return format_table(
+            ("Organisation", "Lookups", "SR failures (attack)",
+             "CS failures (attack)"),
+            body,
+            title=f"Fleet replay — scheme: {self.label}",
+        )
 
 
 def summarize_replay(result: "ReplayResult") -> ReplaySummary:

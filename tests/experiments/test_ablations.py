@@ -13,6 +13,10 @@ from repro.experiments.ablations import (
 from repro.experiments.scenarios import Scale, make_scenario
 
 
+def sr(result, label):
+    return result.cell(scheme=label).sr_attack_failure_rate
+
+
 @pytest.fixture(scope="module")
 def scenario():
     return make_scenario(Scale.TINY)
@@ -21,27 +25,27 @@ def scenario():
 class TestMechanismAblation:
     def test_rows_and_ordering(self, scenario):
         result = mechanism_ablation(scenario)
-        labels = [row[0] for row in result.rows]
+        labels = list(result.axes["scheme"])
         assert labels[0] == "vanilla"
         assert "combination" in labels
         # Stacked mechanisms never do worse than vanilla.
-        vanilla = result.sr_rate("vanilla")
-        assert result.sr_rate("refresh only") <= vanilla
-        assert result.sr_rate("refresh + renew") <= vanilla
-        assert result.sr_rate("combination") <= vanilla
+        vanilla = sr(result, "vanilla")
+        assert sr(result, "refresh only") <= vanilla
+        assert sr(result, "refresh + renew") <= vanilla
+        assert sr(result, "combination") <= vanilla
 
     def test_render(self, scenario):
         assert "Ablation" in mechanism_ablation(scenario).render()
 
     def test_unknown_label_raises(self, scenario):
         with pytest.raises(KeyError):
-            mechanism_ablation(scenario).sr_rate("nope")
+            sr(mechanism_ablation(scenario), "nope")
 
 
 class TestStaleComparison:
     def test_stale_beats_vanilla(self, scenario):
         result = stale_comparison(scenario)
-        assert result.sr_rate("serve-stale") <= result.sr_rate("vanilla")
+        assert sr(result, "serve-stale") <= sr(result, "vanilla")
 
 
 class TestOtherAttackClasses:
@@ -49,8 +53,8 @@ class TestOtherAttackClasses:
         result = other_attack_classes(scenario)
         # An attack on one SLD/provider hurts far fewer queries than the
         # root+TLD attack does (which is >30% SR failures at this scale).
-        for label, sr, _, _ in result.rows:
-            assert sr < 0.30, label
+        for point, cell in zip(result.points(), result.cells):
+            assert cell.sr_attack_failure_rate < 0.30, point
 
     def test_render(self, scenario):
         assert "attack classes" in other_attack_classes(scenario).render()
@@ -62,17 +66,18 @@ class TestHolddownAblation:
         return holddown_ablation(scenario)
 
     def test_holddown_does_not_change_sr_outcome(self, result):
-        assert result.sr_rate("vanilla + holddown 10m") == pytest.approx(
-            result.sr_rate("vanilla"), abs=0.05
+        assert sr(result, "vanilla + holddown 10m") == pytest.approx(
+            sr(result, "vanilla"), abs=0.05
         )
 
     def test_holddown_reduces_message_volume(self, result):
-        rows = {label: messages for label, _, _, messages in result.rows}
-        assert rows["vanilla + holddown 10m"] < rows["vanilla"]
+        messages = dict(zip(result.axes["scheme"],
+                            result.values("total_outgoing")))
+        assert messages["vanilla + holddown 10m"] < messages["vanilla"]
 
     def test_fast_select_preserves_availability(self, result):
-        assert result.sr_rate("refresh + fast-select") == pytest.approx(
-            result.sr_rate("refresh + holddown 10m"), abs=0.10
+        assert sr(result, "refresh + fast-select") == pytest.approx(
+            sr(result, "refresh + holddown 10m"), abs=0.10
         )
 
 
@@ -82,13 +87,13 @@ class TestCapacityAblation:
         return capacity_ablation(scenario)
 
     def test_generous_capacity_matches_unbounded(self, result):
-        assert result.sr_rate("combination / 4x zones") == pytest.approx(
-            result.sr_rate("combination / unbounded"), abs=0.02
+        assert sr(result, "combination / 4x zones") == pytest.approx(
+            sr(result, "combination / unbounded"), abs=0.02
         )
 
     def test_starved_cache_degrades(self, result):
-        assert result.sr_rate("combination / 0.25x zones") > \
-            result.sr_rate("combination / 4x zones")
+        assert sr(result, "combination / 0.25x zones") > \
+            sr(result, "combination / 4x zones")
 
     def test_render(self, result):
         assert "cache capacity" in result.render()
@@ -99,8 +104,8 @@ class TestScaleSensitivity:
         # Single-scale invocation keeps this a unit test; the cross-scale
         # claim is exercised by the dedicated bench.
         result = scale_sensitivity(scales=(Scale.TINY,))
-        assert len(result.rows) == 3
-        assert {row[1] for row in result.rows} == {
+        assert len(result.cells) == 3
+        assert set(result.axes["scheme"]) == {
             "vanilla", "refresh", "combination"
         }
         assert "Scale sensitivity" in result.render()

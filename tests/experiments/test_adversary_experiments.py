@@ -11,11 +11,11 @@ from repro.experiments.amplification import (
 )
 from repro.experiments.poisoning import (
     PoisoningSpec,
-    _percentile,
     run as run_poisoning,
 )
 from repro.experiments.registry import add_spec_arguments, spec_from_args
 from repro.experiments.scenarios import Scale
+from repro.experiments.sweep import percentile
 
 
 class TestAmplification:
@@ -31,24 +31,24 @@ class TestAmplification:
         ))
 
     def test_grid_shape(self, result):
-        assert result.fan_outs == (2, 6)
-        assert result.budgets == (0, 2)
+        assert result.axes["fan_out"] == (2, 6)
+        assert result.axes["budget"] == (0, 2)
         assert len(result.cells) == 4
 
     def test_undefended_amplification_scales_with_fan_out(self, result):
         narrow = result.cell(budget=0, fan_out=2)
         wide = result.cell(budget=0, fan_out=6)
-        assert 1.0 < narrow.amplification < wide.amplification
+        assert 1.0 < narrow.amplification_factor < wide.amplification_factor
         assert narrow.budget_exhaustions == 0
 
     def test_budget_clamps_with_bounded_collateral(self, result):
         open_cell = result.cell(budget=0, fan_out=6)
         capped = result.cell(budget=2, fan_out=6)
-        assert capped.amplification < open_cell.amplification
+        assert capped.amplification_factor < open_cell.amplification_factor
         assert capped.budget_exhaustions > 0
         # The clamp must not torch legitimate traffic: collateral SR
         # failure stays within a point of the undefended run.
-        assert abs(capped.sr_rate - open_cell.sr_rate) < 0.01
+        assert abs(capped.sr_failure_rate - open_cell.sr_failure_rate) < 0.01
 
     def test_render_is_a_grid(self, result):
         table = result.render()
@@ -90,20 +90,20 @@ class TestPoisoning:
         ))
 
     def test_rows_pair_each_scheme_with_a_guard(self, result):
-        assert result.schemes == ("vanilla", "vanilla+guard")
+        assert result.axes["scheme"] == ("vanilla", "vanilla+guard")
         assert len(result.cells) == 2
 
     def test_guard_cuts_stuck_forgeries(self, result):
-        base = result.cell("vanilla", 0.2)
-        guarded = result.cell("vanilla+guard", 0.2)
-        assert base.stored > 0
-        assert guarded.stored < base.stored
-        assert base.stored >= base.cured
-        assert all(dwell >= 0.0 for dwell in base.dwells)
+        base = result.cell(scheme="vanilla", rate=0.2)
+        guarded = result.cell(scheme="vanilla+guard", rate=0.2)
+        assert base.poison_stored > 0
+        assert guarded.poison_stored < base.poison_stored
+        assert base.poison_stored >= base.poison_cured
+        assert all(dwell >= 0.0 for dwell in base.poison_dwells)
 
     def test_dwell_percentiles_are_ordered(self, result):
-        base = result.cell("vanilla", 0.2)
-        assert base.dwell_p50 <= base.dwell_p90
+        dwells = result.cell(scheme="vanilla", rate=0.2).poison_dwells
+        assert percentile(dwells, 0.50) <= percentile(dwells, 0.90)
 
     def test_render_reports_dwells(self, result):
         table = result.render()
@@ -122,9 +122,9 @@ class TestPoisoning:
             run_poisoning(PoisoningSpec(entropy_bits=-1))
 
     def test_percentile_is_nearest_rank(self):
-        assert _percentile((), 0.5) == 0.0
-        assert _percentile((3.0, 1.0, 2.0), 0.5) == 2.0
-        assert _percentile((3.0, 1.0, 2.0), 0.9) == 3.0
+        assert percentile((), 0.5) == 0.0
+        assert percentile((3.0, 1.0, 2.0), 0.5) == 2.0
+        assert percentile((3.0, 1.0, 2.0), 0.9) == 3.0
 
     def test_cli_round_trip(self):
         parser = argparse.ArgumentParser()

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.experiments import churn, latency
-from repro.experiments.churn import ChurnSpec
-from repro.experiments.latency import LatencySpec
+from repro.experiments.churn import ChurnSpec, obsolete_hits
+from repro.experiments.latency import LatencySpec, per_lookup
 from repro.experiments.scenarios import Scale, make_scenario
 from repro.hierarchy.builder import HierarchyConfig
 from repro.workload.generator import WorkloadConfig
@@ -24,35 +24,38 @@ class TestChurnExperiment:
     def test_availability_unharmed_by_churn(self, churn_result):
         # Paper §4: the long-TTL downside is latency, not correctness —
         # the parent fallback resets obsolete IRRs.
-        for row in churn_result.rows:
-            assert row.sr_failure_rate < 0.005, row.label
+        for row in churn_result.cells:
+            assert row.metrics.sr_failure_rate < 0.005, row.label
 
     def test_longer_ttls_touch_more_obsolete_servers(self, churn_result):
-        vanilla = churn_result.row("vanilla").stale_touches
-        seven = churn_result.row("refresh+ttl7d").stale_touches
+        vanilla = obsolete_hits(churn_result.cell(scheme="vanilla"))
+        seven = obsolete_hits(churn_result.cell(scheme="refresh+ttl7d"))
         assert seven >= vanilla
 
     def test_decoupled_beats_long_ttl_on_staleness(self, churn_result):
         # Same long TTLs, but the invalidation channel evicts obsolete
         # IRRs the instant a zone migrates: fewer obsolete-server
         # touches at no availability cost (DESIGN.md §17).
-        long_ttl = churn_result.row("refresh+ttl7d")
-        decoupled = churn_result.row("decoupled7d")
-        assert decoupled.stale_touches < long_ttl.stale_touches
-        assert decoupled.sr_failure_rate <= long_ttl.sr_failure_rate
+        long_ttl = churn_result.cell(scheme="refresh+ttl7d")
+        decoupled = churn_result.cell(scheme="decoupled7d")
+        assert obsolete_hits(decoupled) < obsolete_hits(long_ttl)
+        assert decoupled.metrics.sr_failure_rate <= \
+            long_ttl.metrics.sr_failure_rate
 
     def test_decoupled_invalidations_recorded(self, churn_result):
-        assert churn_result.row("decoupled7d").invalidations > 0
+        assert churn_result.cell(
+            scheme="decoupled7d").metrics.invalidations > 0
         # Without the update channel the listener is a no-op.
-        assert churn_result.row("refresh+ttl7d").invalidations == 0
+        assert churn_result.cell(
+            scheme="refresh+ttl7d").metrics.invalidations == 0
 
     def test_upstream_queries_accounted_for_every_row(self, churn_result):
-        for row in churn_result.rows:
-            assert row.upstream_queries > 0, row.label
+        for row in churn_result.cells:
+            assert row.metrics.total_outgoing > 0, row.label
 
     def test_swr_row_present_with_bounded_staleness(self, churn_result):
-        row = churn_result.row("swr3600s")
-        assert 0.0 <= row.stale_answer_rate <= 1.0
+        row = churn_result.cell(scheme="swr3600s")
+        assert 0.0 <= row.metrics.stale_answer_rate <= 1.0
 
     def test_render(self, churn_result):
         text = churn_result.render()
@@ -61,7 +64,7 @@ class TestChurnExperiment:
 
     def test_unknown_row(self, churn_result):
         with pytest.raises(KeyError):
-            churn_result.row("nope")
+            churn_result.cell(scheme="nope")
 
 
 class TestLatencyExperiment:
@@ -71,17 +74,19 @@ class TestLatencyExperiment:
 
     def test_long_ttl_lowers_latency(self, result):
         # Fewer tree walks => lower mean wait (paper §4).
-        assert result.row("refresh+ttl7d").mean_latency <= \
-            result.row("vanilla").mean_latency
+        assert result.cell(scheme="refresh+ttl7d").mean_latency <= \
+            result.cell(scheme="vanilla").mean_latency
 
     def test_refresh_reduces_queries_per_lookup(self, result):
-        assert result.row("refresh").cs_queries_per_lookup <= \
-            result.row("vanilla").cs_queries_per_lookup
+        def cs_per_lookup(scheme):
+            return per_lookup(result.where(scheme=scheme), "cs_demand_queries")
+
+        assert cs_per_lookup("refresh") <= cs_per_lookup("vanilla")
 
     def test_hit_rates_sane(self, result):
-        for row in result.rows:
-            assert 0.0 <= row.cache_hit_rate <= 1.0
-            assert row.cs_queries_per_lookup >= 0.0
+        for row in result.groups("scheme"):
+            assert 0.0 <= per_lookup(row, "sr_cache_hits") <= 1.0
+            assert per_lookup(row, "cs_demand_queries") >= 0.0
 
     def test_render(self, result):
         assert "Response time" in result.render()

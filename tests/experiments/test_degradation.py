@@ -17,6 +17,7 @@ from repro.experiments.degradation import (
 from repro.experiments.harness import AttackSpec, run_replay
 from repro.experiments.parallel import ReplaySpec, run_replays
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.sweep import knee
 from repro.obs import ObservationSpec
 from repro.simulation.faults import FaultSpec
 
@@ -40,15 +41,16 @@ class TestDegradationExperiment:
             knee_threshold=0.02,
         )
         result = run_degradation(spec)
-        assert result.policies == ("refresh+noretry", "refresh+retry2")
+        assert result.axes["policy"] == ("refresh+noretry", "refresh+retry2")
         assert len(result.cells) == 4
-        for policy in result.policies:
+        for policy in result.axes["policy"]:
+            row = result.where(policy=policy)
             # No attack traffic is dropped at intensity 0.
-            assert result.cell(policy, 0.0).sr_rate == 0.0
+            assert row.cell(intensity=0.0).sr_attack_failure_rate == 0.0
             # The blackout column reproduces the paper's regime, so the
             # knee exists and sits at the blackout end of this sweep.
-            assert result.cell(policy, 1.0).sr_rate > 0.02
-            assert result.knee(policy) == 1.0
+            assert row.cell(intensity=1.0).sr_attack_failure_rate > 0.02
+            assert knee(row, "intensity", 0.02) == 1.0
         rendered = result.render()
         assert "i=1" in rendered and "knee" in rendered
 

@@ -19,14 +19,16 @@ def result():
 
 class TestDnssecExperiment:
     def test_validation_amplifies_attack_on_vanilla(self, result):
-        plain = result.row("vanilla").sr_failure_rate
-        validating = result.row("vanilla+dnssec").sr_failure_rate
-        assert validating > plain
-        assert result.row("vanilla+dnssec").validation_failures > 0
+        plain = result.cell(scheme="vanilla").sr_attack_failure_rate
+        validating = result.cell(scheme="vanilla+dnssec")
+        assert validating.sr_attack_failure_rate > plain
+        assert validating.sr_validation_failures > 0
 
     def test_combination_neutralises_amplification(self, result):
-        combo = result.row("combo+a-lfu3+ttl3d+dnssec").sr_failure_rate
-        vanilla_validating = result.row("vanilla+dnssec").sr_failure_rate
+        combo = result.cell(
+            scheme="combo+a-lfu3+ttl3d+dnssec").sr_attack_failure_rate
+        vanilla_validating = result.cell(
+            scheme="vanilla+dnssec").sr_attack_failure_rate
         assert combo < vanilla_validating / 5
 
     def test_render(self, result):
@@ -43,4 +45,4 @@ class TestDnssecExperiment:
 
     def test_unknown_row(self, result):
         with pytest.raises(KeyError):
-            result.row("nope")
+            result.cell(scheme="nope")

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.config import ResilienceConfig
-from repro.experiments.fleet import fleet_attack_comparison, run_fleet_replay
+from repro.experiments.fleet import (
+    fleet_attack_comparison,
+    run_fleet_replay,
+    summarize_fleet,
+)
 from repro.experiments.harness import AttackSpec, run_replay
 from repro.experiments.scenarios import Scale, make_scenario
 
@@ -18,16 +22,15 @@ class TestFleetReplay:
         traces = scenario.week_traces(3)
         result = run_fleet_replay(scenario.built, traces,
                                   ResilienceConfig.vanilla())
-        assert len(result.members) == 3
-        for trace, member in zip(traces, result.members):
+        assert len(result) == 3
+        for trace, member in zip(traces, result):
             assert member.metrics.sr_queries == len(trace)
 
     def test_caches_are_independent(self, scenario):
         traces = scenario.week_traces(2)
         result = run_fleet_replay(scenario.built, traces,
                                   ResilienceConfig.vanilla())
-        first = result.member("TRC1").server
-        second = result.member("TRC2").server
+        first, second = (member.server for member in result)
         assert first is not second
         assert first.cache is not second.cache
 
@@ -37,10 +40,11 @@ class TestFleetReplay:
             scenario.built, traces, ResilienceConfig.vanilla(),
             attack=AttackSpec(),
         )
-        total_queries = sum(m.window.sr_queries for m in result.members)
-        total_failures = sum(m.window.sr_failures for m in result.members)
-        assert result.total_failed_lookups() == total_failures
-        assert result.aggregate_sr_failure_rate() == pytest.approx(
+        total_queries = sum(m.window.sr_queries for m in result)
+        total_failures = sum(m.window.sr_failures for m in result)
+        summary = summarize_fleet(result)
+        assert summary.total_failed_lookups() == total_failures
+        assert summary.aggregate_sr_failure_rate() == pytest.approx(
             total_failures / total_queries
         )
 
@@ -55,7 +59,7 @@ class TestFleetReplay:
             scenario.built, [trace], ResilienceConfig.vanilla(),
             attack=AttackSpec(), seed=0,
         )
-        assert fleet.member("TRC1").window.sr_failure_rate == pytest.approx(
+        assert fleet[0].sr_attack_failure_rate == pytest.approx(
             solo.sr_attack_failure_rate, abs=0.05
         )
 
@@ -77,14 +81,14 @@ class TestFleetReplay:
         result = run_fleet_replay(scenario.built, scenario.week_traces(1),
                                   ResilienceConfig.vanilla())
         with pytest.raises(KeyError):
-            result.member("TRC9")
+            summarize_fleet(result).member("TRC9")
 
     def test_render(self, scenario):
         result = run_fleet_replay(
             scenario.built, scenario.week_traces(2),
             ResilienceConfig.vanilla(), attack=AttackSpec(),
         )
-        text = result.render()
+        text = summarize_fleet(result).render()
         assert "fleet" in text and "TRC1" in text
 
 

@@ -26,6 +26,7 @@ from repro.experiments.max_damage import MaxDamageSpec
 from repro.experiments.multiseed import MultiSeedSpec
 from repro.experiments.poisoning import PoisoningSpec
 from repro.experiments.scenarios import Scale
+from repro.hierarchy import churn as churn_module
 from repro.hierarchy.builder import HierarchyConfig
 from repro.workload.generator import WorkloadConfig
 
@@ -74,7 +75,14 @@ def test_every_registry_experiment_has_a_golden_spec():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
-def test_render_matches_golden(name):
+def test_render_matches_golden(name, monkeypatch):
+    # Known defect, left standing: replacement servers minted by churn
+    # take their addresses (and so their RTTs) from one process-wide
+    # counter, so a churn table depends on how many migrations earlier
+    # code in the same process applied.  The captures come from a fresh
+    # process; start from a fresh counter to match them.
+    monkeypatch.setattr(churn_module, "_ALLOCATOR",
+                        churn_module._ChurnAddressAllocator())
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert _render(name) == expected
 

@@ -4,9 +4,10 @@ import pytest
 
 from repro.dns.name import root_name
 from repro.experiments.max_damage import (
-    _max_damage_experiment,
+    MaxDamageSpec,
     greedy_targets,
     random_targets,
+    run,
     upcoming_query_counts,
 )
 from repro.experiments.scenarios import Scale, make_scenario
@@ -67,26 +68,31 @@ class TestTargetSelection:
         )
 
 
+def rate_of(result, strategy, scheme):
+    return result.cell(strategy=strategy,
+                       scheme=scheme).sr_attack_failure_rate
+
+
 class TestExperiment:
-    def test_greedy_beats_random(self, scenario):
-        result = _max_damage_experiment(scenario, budget=4)
-        greedy = result.rate_of("greedy (oracle)", "vanilla")
-        random_rate = result.rate_of("random", "vanilla")
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run(MaxDamageSpec(scale=Scale.TINY, budget=4))
+
+    def test_greedy_beats_random(self, result):
+        greedy = rate_of(result, "greedy (oracle)", "vanilla")
+        random_rate = rate_of(result, "random", "vanilla")
         assert greedy >= random_rate
 
-    def test_combination_blunts_every_strategy(self, scenario):
-        result = _max_damage_experiment(scenario, budget=4)
+    def test_combination_blunts_every_strategy(self, result):
         for strategy in ("greedy (oracle)", "root+TLDs", "random"):
-            assert result.rate_of(strategy, "combination") <= \
-                result.rate_of(strategy, "vanilla") + 1e-9
+            assert rate_of(result, strategy, "combination") <= \
+                rate_of(result, strategy, "vanilla") + 1e-9
 
-    def test_render(self, scenario):
-        result = _max_damage_experiment(scenario, budget=3)
+    def test_render(self, result):
         text = result.render()
-        assert "budget = 3" in text
+        assert "budget = 4" in text
         assert "greedy (oracle)" in text
 
-    def test_unknown_row_raises(self, scenario):
-        result = _max_damage_experiment(scenario, budget=3)
+    def test_unknown_row_raises(self, result):
         with pytest.raises(KeyError):
-            result.rate_of("nonexistent", "vanilla")
+            rate_of(result, "nonexistent", "vanilla")

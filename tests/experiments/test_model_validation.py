@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.model_validation import model_validation
+from repro.experiments.model_validation import model_validation, relative_error
 from repro.experiments.scenarios import Scale, make_scenario
 
 
@@ -14,12 +14,12 @@ def result():
 class TestModelValidation:
     def test_reasonable_agreement(self, result):
         # Steady-state Poisson model vs diurnal simulation: within 35 %.
-        for row in result.rows:
-            assert row.relative_error < 0.35, row.scheme
+        for scheme, cell in zip(result.axes["scheme"], result.cells):
+            assert relative_error(cell) < 0.35, scheme
 
     def test_model_reproduces_scheme_ordering(self, result):
-        predicted = [row.predicted for row in result.rows]
-        measured = [row.measured for row in result.rows]
+        predicted = [cell["predicted"] for cell in result.cells]
+        measured = [cell["measured"] for cell in result.cells]
         # vanilla < refresh < renewal <= long-ttl in both columns.
         assert predicted == sorted(predicted)
         assert measured == sorted(measured)
@@ -30,4 +30,4 @@ class TestModelValidation:
 
     def test_unknown_scheme(self, result):
         with pytest.raises(KeyError):
-            result.row("nope")
+            result.cell(scheme="nope")

@@ -5,11 +5,9 @@ import pytest
 from repro.core.config import ResilienceConfig
 from repro.dns.name import root_name
 from repro.experiments.harness import AttackSpec, run_replay
-from repro.experiments.multiseed import (
-    SeedStatistics,
-    _multiseed_experiment,
-)
+from repro.experiments.multiseed import MultiSeedSpec, run
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.sweep import format_spread, mean_std
 
 
 @pytest.fixture(scope="module")
@@ -19,48 +17,47 @@ def scenario():
 
 class TestSeedStatistics:
     def test_mean_and_std(self):
-        stats = SeedStatistics.from_samples([0.1, 0.2, 0.3])
-        assert stats.mean == pytest.approx(0.2)
-        assert stats.std == pytest.approx(0.1)
+        mean, std = mean_std([0.1, 0.2, 0.3])
+        assert mean == pytest.approx(0.2)
+        assert std == pytest.approx(0.1)
 
     def test_single_sample(self):
-        stats = SeedStatistics.from_samples([0.5])
-        assert stats.mean == 0.5
-        assert stats.std == 0.0
+        assert mean_std([0.5]) == (0.5, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            SeedStatistics.from_samples([])
+            mean_std([])
 
     def test_str_is_percent(self):
-        assert "±" in str(SeedStatistics.from_samples([0.1, 0.2]))
+        assert format_spread([0.1, 0.2]) == "15.00 ± 7.07 %"
 
 
 class TestMultiSeed:
     @pytest.fixture(scope="class")
-    def result(self, scenario):
-        return _multiseed_experiment(
-            scenario,
-            schemes=(ResilienceConfig.vanilla(), ResilienceConfig.combination()),
-            seeds=(0, 1, 2),
-        )
+    def result(self):
+        return run(MultiSeedSpec(scale=Scale.TINY, seeds=(0, 1, 2)))
 
     def test_scheme_ordering_holds_in_means(self, result):
-        assert result.row("combo+a-lfu3+ttl3d").sr.mean < \
-            result.row("vanilla").sr.mean
+        def mean(scheme):
+            return result.where(scheme=scheme).mean("sr_attack_failure_rate")
+
+        assert mean("combo+a-lfu3+ttl3d") < mean("vanilla")
 
     def test_spread_is_bounded(self, result):
         # Seeds only change server-rotation/jitter choices, so the seed
         # spread should stay within a few percentage points.
-        for row in result.rows:
-            assert row.sr.std < 0.08, row.scheme
+        for scheme in result.axes["scheme"]:
+            _, std = mean_std(
+                result.where(scheme=scheme).values("sr_attack_failure_rate")
+            )
+            assert std < 0.08, scheme
 
     def test_render(self, result):
         assert "Multi-seed" in result.render()
 
-    def test_requires_seeds(self, scenario):
+    def test_requires_seeds(self):
         with pytest.raises(ValueError):
-            _multiseed_experiment(scenario, seeds=())
+            run(MultiSeedSpec(seeds=()))
 
 
 class TestTrafficBytes:

@@ -169,13 +169,15 @@ def _hang_worker(spec):
 
 class TestFailureSurface:
     @pytest.fixture(autouse=True)
-    def _fresh_pool(self, monkeypatch):
+    def _fresh_pool(self):
         """Fork a fresh pool so the monkeypatched module reaches workers.
 
         A reused warm pool predates the patch (fork copies memory at
-        pool-creation time), so these tests must opt out of reuse.
+        pool-creation time), so each test starts without one; the
+        failure it provokes breaks the pool, which is then discarded.
         """
-        monkeypatch.setenv(parallel.POOL_REUSE_ENV_VAR, "0")
+        parallel.shutdown_shared_pool()
+        yield
         parallel.shutdown_shared_pool()
 
     def test_dead_worker_reported_clearly(self, scenario, monkeypatch):
@@ -196,8 +198,7 @@ class TestFailureSurface:
 
 class TestPoolReuse:
     @pytest.fixture(autouse=True)
-    def _clean_slate(self, monkeypatch):
-        monkeypatch.delenv(parallel.POOL_REUSE_ENV_VAR, raising=False)
+    def _clean_slate(self):
         parallel.shutdown_shared_pool()
         yield
         parallel.shutdown_shared_pool()
@@ -216,12 +217,6 @@ class TestPoolReuse:
         first = parallel._shared_pool
         run_replays(specs, workers=3)
         assert parallel._shared_pool is not first
-
-    def test_escape_hatch_disables_reuse(self, scenario, monkeypatch):
-        monkeypatch.setenv(parallel.POOL_REUSE_ENV_VAR, "0")
-        assert not parallel.pool_reuse_enabled()
-        run_replays(_sweep_specs(scenario), workers=2)
-        assert parallel._shared_pool is None
 
     def test_reused_pool_results_stay_identical(self, scenario):
         specs = _sweep_specs(scenario)

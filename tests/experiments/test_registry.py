@@ -6,7 +6,11 @@ import dataclasses
 import pytest
 
 from repro.experiments import EXPERIMENTS
-from repro.experiments.attack_grid import AttackGridSpec, run_duration_grid
+from repro.experiments.attack_grid import (
+    AttackGridSpec,
+    duration_columns,
+    failure_grid,
+)
 from repro.experiments.churn import ChurnSpec
 from repro.experiments.latency import LatencySpec
 from repro.experiments.registry import (
@@ -109,14 +113,15 @@ class TestRunEquivalence:
         via_registry = EXPERIMENTS["attack-grid"].run(spec)
         scenario = make_scenario(Scale.TINY, seed=7)
         config = parse_scheme("vanilla")
-        legacy = run_duration_grid(
-            scenario, config,
-            title=f"Attack durations — {config.label}",
-            durations_hours=(3,), trace_limit=1,
+        direct = failure_grid(
+            scenario,
+            f"Attack durations — {config.label}",
+            duration_columns(config, (3,)),
+            trace_limit=1,
         )
-        assert via_registry.sr == legacy.sr
-        assert via_registry.cs == legacy.cs
-        assert via_registry.columns == legacy.columns
+        assert via_registry.axes == direct.axes
+        assert via_registry.cells == direct.cells
+        assert via_registry.render() == direct.render()
 
     def test_default_run_builds_default_spec(self):
         definition = ExperimentDef(
