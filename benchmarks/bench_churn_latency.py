@@ -11,7 +11,8 @@ These quantify two §4 claims the paper argues but does not plot:
 from repro.experiments import EXPERIMENTS
 from repro.experiments.churn import ChurnSpec, obsolete_hits
 from repro.experiments.churn import run as run_churn_experiment
-from repro.experiments.latency import LatencySpec, per_lookup
+from repro.experiments.latency import LatencySpec
+from repro.experiments.sweep import per_stub
 from repro.hierarchy.builder import HierarchyConfig
 from repro.workload.generator import WorkloadConfig
 
@@ -42,6 +43,6 @@ def bench_latency(run_once, scenario, record_artifact):
     record_artifact("latency", result.render())
     assert result.cell(scheme="refresh+ttl7d").mean_latency <= \
         result.cell(scheme="vanilla").mean_latency
-    assert per_lookup(result.where(scheme="combination"),
-                      "cs_demand_queries") <= \
-        per_lookup(result.where(scheme="vanilla"), "cs_demand_queries")
+    assert per_stub(result.where(scheme="combination"),
+                    "cs_demand_queries") <= \
+        per_stub(result.where(scheme="vanilla"), "cs_demand_queries")

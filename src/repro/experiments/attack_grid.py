@@ -18,7 +18,7 @@ from repro.experiments.harness import AttackSpec
 from repro.experiments.parallel import ReplaySpec
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
-from repro.experiments.sweep import Grid, Sweep, Table, coord, percent, pivot
+from repro.experiments.sweep import Grid, Sweep, Table, coord, per_stub, percent, pivot
 
 HOUR = 3600.0
 
@@ -144,13 +144,6 @@ class Renewal2Spec:
     attack_hours: float = 6.0
     trace_limit: int | None = None
     schemes: tuple[str, ...] = RENEWAL2_SCHEMES
-
-
-def per_stub(group: Grid, attr: str) -> float:
-    """``attr`` summed over a scheme's traces, per stub query."""
-    stub: int = group.total("sr_queries")
-    spent: int = group.total(attr)
-    return spent / stub if stub else 0.0
 
 
 def renewal2_table(attack_hours: float) -> Table:

@@ -17,7 +17,7 @@ from repro.core.config import ResilienceConfig
 from repro.experiments.parallel import ReplaySpec
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, make_scenario
-from repro.experiments.sweep import Grid, Sweep, Table, coord
+from repro.experiments.sweep import Grid, Sweep, Table, coord, per_stub
 
 DEFAULT_SCHEMES = {
     "vanilla": ResilienceConfig.vanilla(),
@@ -37,13 +37,6 @@ class LatencySpec:
     trace_name: str = "TRC1"
 
 
-def per_lookup(group: Grid, attr: str) -> float:
-    """``attr`` per stub lookup of the group's single replay."""
-    count: int = getattr(group.one, attr)
-    queries: int = group.one.sr_queries
-    return count / queries if queries else 0.0
-
-
 def run(spec: LatencySpec) -> Grid:
     """Mean response time per scheme over a full no-attack replay."""
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
@@ -60,8 +53,8 @@ def run(spec: LatencySpec) -> Grid:
             ("Scheme", coord("scheme")),
             ("Mean wait / lookup", lambda g: f"{g.one.mean_latency * 1000:.1f} ms"),
             ("SR cache hits",
-             lambda g: f"{per_lookup(g, 'sr_cache_hits') * 100:.1f} %"),
+             lambda g: f"{per_stub(g, 'sr_cache_hits') * 100:.1f} %"),
             ("CS queries / lookup",
-             lambda g: f"{per_lookup(g, 'cs_demand_queries'):.3f}"),
+             lambda g: f"{per_stub(g, 'cs_demand_queries'):.3f}"),
         ),
     ))

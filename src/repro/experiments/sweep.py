@@ -194,6 +194,14 @@ def percent(attr: str, digits: int = 2) -> Callable[[Grid], str]:
     return lambda group: f"{group.mean(attr) * 100:.{digits}f} %"
 
 
+def per_stub(group: Grid, attr: str) -> float:
+    """``attr`` summed over the group's cells, per stub query (0 when
+    the group saw none)."""
+    stub: int = group.total("sr_queries")
+    spent: int = group.total(attr)
+    return spent / stub if stub else 0.0
+
+
 def pivot(
     axis: str,
     values: Sequence,

@@ -4,8 +4,9 @@ import pytest
 
 from repro.experiments import churn, latency
 from repro.experiments.churn import ChurnSpec, obsolete_hits
-from repro.experiments.latency import LatencySpec, per_lookup
+from repro.experiments.latency import LatencySpec
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.sweep import per_stub
 from repro.hierarchy.builder import HierarchyConfig
 from repro.workload.generator import WorkloadConfig
 
@@ -79,14 +80,14 @@ class TestLatencyExperiment:
 
     def test_refresh_reduces_queries_per_lookup(self, result):
         def cs_per_lookup(scheme):
-            return per_lookup(result.where(scheme=scheme), "cs_demand_queries")
+            return per_stub(result.where(scheme=scheme), "cs_demand_queries")
 
         assert cs_per_lookup("refresh") <= cs_per_lookup("vanilla")
 
     def test_hit_rates_sane(self, result):
         for row in result.groups("scheme"):
-            assert 0.0 <= per_lookup(row, "sr_cache_hits") <= 1.0
-            assert per_lookup(row, "cs_demand_queries") >= 0.0
+            assert 0.0 <= per_stub(row, "sr_cache_hits") <= 1.0
+            assert per_stub(row, "cs_demand_queries") >= 0.0
 
     def test_render(self, result):
         assert "Response time" in result.render()

@@ -6,12 +6,11 @@ from types import SimpleNamespace
 
 from repro.experiments.attack_grid import (
     Renewal2Spec,
-    per_stub,
     renewal2_table,
     run_renewal2,
 )
 from repro.experiments.scenarios import Scale
-from repro.experiments.sweep import Grid
+from repro.experiments.sweep import Grid, per_stub
 
 
 def row(result, scheme):
