@@ -58,22 +58,3 @@ def render_series(
 def format_percent(value: float, precision: int = 1) -> str:
     """0.0316 -> '3.2 %'."""
     return f"{value * 100:.{precision}f} %"
-
-
-def render_failure_block(
-    title: str,
-    rows: dict[str, dict[str, float]],
-    column_order: Sequence[str],
-) -> str:
-    """A figure 4-11 style block: traces as rows, schemes/durations as columns.
-
-    ``rows`` maps trace name -> {column label -> failure fraction}.
-    """
-    headers = ["trace", *column_order]
-    body = []
-    for trace_name, cells in rows.items():
-        body.append(
-            [trace_name]
-            + [format_percent(cells.get(column, 0.0)) for column in column_order]
-        )
-    return format_table(headers, body, title=title)

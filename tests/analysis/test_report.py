@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.report import (
     format_percent,
     format_table,
-    render_failure_block,
     render_series,
 )
 
@@ -48,13 +47,3 @@ class TestSeries:
         assert format_percent(0.0316) == "3.2 %"
         assert format_percent(0.5, precision=0) == "50 %"
 
-    def test_render_failure_block(self):
-        rows = {"TRC1": {"3 h": 0.5, "6 h": 0.6}}
-        text = render_failure_block("T", rows, ["3 h", "6 h"])
-        assert "TRC1" in text
-        assert "50.0 %" in text and "60.0 %" in text
-
-    def test_render_failure_block_missing_cell_is_zero(self):
-        rows = {"TRC1": {"3 h": 0.5}}
-        text = render_failure_block("T", rows, ["3 h", "6 h"])
-        assert "0.0 %" in text
