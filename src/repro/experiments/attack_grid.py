@@ -35,11 +35,6 @@ LONG_TTL_DAYS = (1, 3, 5, 7)
 GridColumn = tuple[str, ResilienceConfig, float]
 
 
-def week_traces(scenario: Scenario, limit: int | None) -> tuple[str, ...]:
-    """The first ``limit`` week traces (all of them when None)."""
-    return Scenario.WEEK_TRACES[: limit or scenario.parameters.week_trace_count]
-
-
 def failure_grid(
     scenario: Scenario,
     title: str,
@@ -62,7 +57,8 @@ def failure_grid(
                                        seed=seed)
 
     grid = Sweep(
-        {"trace": week_traces(scenario, trace_limit), "column": tuple(by_label)},
+        {"trace": scenario.week_trace_names(trace_limit),
+         "column": tuple(by_label)},
         replay,
     ).run(workers)
     return grid.tabulate(*(
@@ -180,7 +176,7 @@ def run_renewal2(spec: Renewal2Spec) -> Grid:
                         duration=spec.attack_hours * HOUR)
     grid = Sweep(
         {"scheme": tuple(configs),
-         "trace": week_traces(scenario, spec.trace_limit)},
+         "trace": scenario.week_trace_names(spec.trace_limit)},
         lambda scheme, trace: ReplaySpec.for_scenario(
             scenario, trace, configs[scheme], attack=attack
         ),

@@ -21,7 +21,6 @@ from repro.experiments.attack_grid import (
     duration_columns,
     failure_grid,
     scheme_columns,
-    week_traces,
 )
 from repro.experiments.parallel import ReplaySpec
 from repro.experiments.scenarios import Scenario
@@ -122,7 +121,7 @@ def figure3(scenario: Scenario, trace_limit: int | None = None,
             workers: int | None = None) -> Grid:
     """Figure 3: expiry-to-next-query gap CDFs from vanilla replays."""
     grid = Sweep(
-        {"trace": week_traces(scenario, trace_limit)},
+        {"trace": scenario.week_trace_names(trace_limit)},
         lambda trace: ReplaySpec.for_scenario(
             scenario, trace, ResilienceConfig.vanilla(), track_gaps=True
         ),
@@ -269,7 +268,8 @@ def table2(
     """
     configs = {BASELINE: ResilienceConfig.vanilla(), **dict(schemes)}
     grid = Sweep(
-        {"trace": week_traces(scenario, trace_limit), "scheme": tuple(configs)},
+        {"trace": scenario.week_trace_names(trace_limit),
+         "scheme": tuple(configs)},
         lambda trace, scheme: ReplaySpec.for_scenario(
             scenario, trace, configs[scheme], seed=seed
         ),

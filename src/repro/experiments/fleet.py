@@ -143,9 +143,7 @@ def fleet_attack_comparison(
         ResilienceConfig.refresh(),
         ResilienceConfig.combination(),
     ]
-    trace_names = Scenario.WEEK_TRACES[
-        : trace_limit or scenario.parameters.week_trace_count
-    ]
+    trace_names = scenario.week_trace_names(trace_limit)
     attack = AttackSpec(start=scenario.attack_start,
                         duration=attack_hours * 3600.0)
     specs = [

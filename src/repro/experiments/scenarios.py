@@ -155,10 +155,13 @@ class Scenario:
         self._traces[name] = trace
         return trace
 
-    def week_traces(self, limit: int | None = None) -> list[Trace]:
+    def week_trace_names(self, limit: int | None = None) -> tuple[str, ...]:
         """TRC1..TRC5 (or the first ``limit`` of them)."""
-        names = self.WEEK_TRACES[: limit or self.parameters.week_trace_count]
-        return [self.trace(name) for name in names]
+        return self.WEEK_TRACES[: limit or self.parameters.week_trace_count]
+
+    def week_traces(self, limit: int | None = None) -> list[Trace]:
+        """The traces :meth:`week_trace_names` names."""
+        return [self.trace(name) for name in self.week_trace_names(limit)]
 
     @property
     def attack_start(self) -> float:
