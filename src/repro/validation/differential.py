@@ -92,28 +92,37 @@ class DifferentialCache(DnsCache):
             oracle=oracle,
         )
 
-    def _compare(self, op: str, primary: object, oracle: object) -> None:
+    def _compare(
+        self, primary: object, oracle: object, op: str, *args: object
+    ) -> None:
+        """Count one check; on disagreement raise, naming the operation.
+
+        ``op`` is a ``str.format`` template over ``args``.  It is only
+        rendered on a divergence, so agreeing operations never pay for
+        formatting names and times.
+        """
         self.ops_checked += 1
         if primary != oracle:
-            self._diverged(op, primary, oracle)
+            self._diverged(op.format(*args), primary, oracle)
 
-    def _compare_occupancy(self, op: str, now: float | None) -> None:
+    def _compare_occupancy(
+        self, now: float | None, op: str, *args: object
+    ) -> None:
         oracle = self._oracle
-        primary_total = DnsCache.total_entry_count(self)
-        self._compare(f"{op} [total_entry_count]",
-                      primary_total, oracle.total_entry_count())
-        self._compare(f"{op} [evictions]", self.evictions, oracle.evictions)
+        self._compare(DnsCache.total_entry_count(self),
+                      oracle.total_entry_count(),
+                      op + " [total_entry_count]", *args)
+        self._compare(self.evictions, oracle.evictions,
+                      op + " [evictions]", *args)
         if now is None:
             return
-        self._compare(f"{op} [live_entry_count]",
-                      DnsCache.live_entry_count(self, now),
-                      oracle.live_entry_count(now))
-        self._compare(f"{op} [live_record_count]",
-                      DnsCache.live_record_count(self, now),
-                      oracle.live_record_count(now))
-        self._compare(f"{op} [live_zone_count]",
-                      DnsCache.live_zone_count(self, now),
-                      oracle.live_zone_count(now))
+        entries, records, zones = oracle.census(now)
+        self._compare(DnsCache.live_entry_count(self, now), entries,
+                      op + " [live_entry_count]", *args)
+        self._compare(DnsCache.live_record_count(self, now), records,
+                      op + " [live_record_count]", *args)
+        self._compare(DnsCache.live_zone_count(self, now), zones,
+                      op + " [live_zone_count]", *args)
 
     # -- observer handling ----------------------------------------------------
 
@@ -133,13 +142,13 @@ class DifferentialCache(DnsCache):
         taint: bool = False,
     ) -> PutResult:
         self.op_index += 1
-        op = (f"put({rrset.name}/{rrset.rrtype.name}, rank={rank.name}, "
-              f"now={now:g}, refresh={refresh}, taint={taint})")
         primary = DnsCache.put(self, rrset, rank, now, refresh, taint)
         oracle = self._oracle.put(rrset, rank, now, refresh=refresh,
                                   taint=taint)
-        self._compare(op, primary, oracle)
-        self._compare_occupancy(op, now)
+        op = "put({}/{.name}, rank={.name}, now={:g}, refresh={}, taint={})"
+        args = (rrset.name, rrset.rrtype, rank, now, refresh, taint)
+        self._compare(primary, oracle, op, *args)
+        self._compare_occupancy(now, op, *args)
         return primary
 
     def get(self, name: Name, rrtype: RRType, now: float) -> RRset | None:
@@ -149,8 +158,8 @@ class DifferentialCache(DnsCache):
         else:
             primary = DnsCache.get(self, name, rrtype, now)
         oracle = self._oracle.get(name, rrtype, now)
-        self._compare(f"get({name}/{rrtype.name}, now={now:g})",
-                      primary, oracle)
+        self._compare(primary, oracle, "get({}/{.name}, now={:g})",
+                      name, rrtype, now)
         return primary
 
     def get_stale(
@@ -163,51 +172,51 @@ class DifferentialCache(DnsCache):
         self.op_index += 1
         primary = DnsCache.get_stale(self, name, rrtype, now, max_stale)
         oracle = self._oracle.get_stale(name, rrtype, now, max_stale)
-        self._compare(
-            f"get_stale({name}/{rrtype.name}, now={now:g}, "
-            f"max_stale={max_stale})",
-            primary, oracle,
-        )
+        self._compare(primary, oracle,
+                      "get_stale({}/{.name}, now={:g}, max_stale={})",
+                      name, rrtype, now, max_stale)
         return primary
 
     def entry(self, name: Name, rrtype: RRType) -> CacheEntry | None:
         self.op_index += 1
         primary = DnsCache.entry(self, name, rrtype)
         oracle = self._oracle.entry(name, rrtype)
-        self._compare(f"entry({name}/{rrtype.name})",
-                      _entry_fields(primary), _entry_fields(oracle))
+        self._compare(_entry_fields(primary), _entry_fields(oracle),
+                      "entry({}/{.name})", name, rrtype)
         return primary
 
     def expires_at(self, name: Name, rrtype: RRType, now: float) -> float | None:
         self.op_index += 1
         primary = DnsCache.expires_at(self, name, rrtype, now)
         oracle = self._oracle.expires_at(name, rrtype, now)
-        self._compare(f"expires_at({name}/{rrtype.name}, now={now:g})",
-                      primary, oracle)
+        self._compare(primary, oracle, "expires_at({}/{.name}, now={:g})",
+                      name, rrtype, now)
         return primary
 
     def remove(self, name: Name, rrtype: RRType) -> bool:
         self.op_index += 1
-        op = f"remove({name}/{rrtype.name})"
         primary = DnsCache.remove(self, name, rrtype)
         oracle = self._oracle.remove(name, rrtype)
-        self._compare(op, primary, oracle)
-        self._compare_occupancy(op, None)
+        op = "remove({}/{.name})"
+        self._compare(primary, oracle, op, name, rrtype)
+        self._compare_occupancy(None, op, name, rrtype)
         return primary
 
     def put_negative(self, name: Name, rrtype: RRType, now: float, ttl: float) -> None:
         self.op_index += 1
-        op = f"put_negative({name}/{rrtype.name}, now={now:g}, ttl={ttl:g})"
         DnsCache.put_negative(self, name, rrtype, now, ttl)
         self._oracle.put_negative(name, rrtype, now, ttl)
-        self._compare_occupancy(op, now)
+        self._compare_occupancy(
+            now, "put_negative({}/{.name}, now={:g}, ttl={:g})",
+            name, rrtype, now, ttl,
+        )
 
     def get_negative(self, name: Name, rrtype: RRType, now: float) -> bool:
         self.op_index += 1
         primary = DnsCache.get_negative(self, name, rrtype, now)
         oracle = self._oracle.get_negative(name, rrtype, now)
-        self._compare(f"get_negative({name}/{rrtype.name}, now={now:g})",
-                      primary, oracle)
+        self._compare(primary, oracle, "get_negative({}/{.name}, now={:g})",
+                      name, rrtype, now)
         return primary
 
     def best_zone_for(
@@ -220,47 +229,46 @@ class DifferentialCache(DnsCache):
         self.op_index += 1
         primary = DnsCache.best_zone_for(self, qname, now, exclude, allow_stale)
         oracle = self._oracle.best_zone_for(qname, now, exclude, allow_stale)
-        self._compare(
-            f"best_zone_for({qname}, now={now:g}, allow_stale={allow_stale})",
-            primary, oracle,
-        )
+        self._compare(primary, oracle,
+                      "best_zone_for({}, now={:g}, allow_stale={})",
+                      qname, now, allow_stale)
         return primary
 
     def live_entry_count(self, now: float) -> int:
         self.op_index += 1
         primary = DnsCache.live_entry_count(self, now)
-        self._compare(f"live_entry_count(now={now:g})",
-                      primary, self._oracle.live_entry_count(now))
+        self._compare(primary, self._oracle.live_entry_count(now),
+                      "live_entry_count(now={:g})", now)
         return primary
 
     def live_record_count(self, now: float) -> int:
         self.op_index += 1
         primary = DnsCache.live_record_count(self, now)
-        self._compare(f"live_record_count(now={now:g})",
-                      primary, self._oracle.live_record_count(now))
+        self._compare(primary, self._oracle.live_record_count(now),
+                      "live_record_count(now={:g})", now)
         return primary
 
     def live_zone_count(self, now: float) -> int:
         self.op_index += 1
         primary = DnsCache.live_zone_count(self, now)
-        self._compare(f"live_zone_count(now={now:g})",
-                      primary, self._oracle.live_zone_count(now))
+        self._compare(primary, self._oracle.live_zone_count(now),
+                      "live_zone_count(now={:g})", now)
         return primary
 
     def total_entry_count(self) -> int:
         self.op_index += 1
         primary = DnsCache.total_entry_count(self)
-        self._compare("total_entry_count()",
-                      primary, self._oracle.total_entry_count())
+        self._compare(primary, self._oracle.total_entry_count(),
+                      "total_entry_count()")
         return primary
 
     def purge_expired(self, now: float, older_than: float = 0.0) -> int:
         self.op_index += 1
-        op = f"purge_expired(now={now:g}, older_than={older_than:g})"
         primary = DnsCache.purge_expired(self, now, older_than)
         oracle = self._oracle.purge_expired(now, older_than)
-        self._compare(op, primary, oracle)
-        self._compare_occupancy(op, now)
+        op = "purge_expired(now={:g}, older_than={:g})"
+        self._compare(primary, oracle, op, now, older_than)
+        self._compare_occupancy(now, op, now, older_than)
         return primary
 
     # -- full-state audit -----------------------------------------------------
@@ -287,13 +295,13 @@ class DifferentialCache(DnsCache):
             )
         for key in primary_keys:
             self._compare(
-                f"audit [entry {key[0]}/{key[1].name}]",
                 _entry_fields(self._entries[cache_key(*key)]),
                 _entry_fields(oracle.entry(*key)),
+                "audit [entry {}/{.name}]", *key,
             )
         self._compare(
-            "audit [negative entries]",
             {split_key(k): expiry for k, expiry in self._negative.items()},
             oracle.snapshot_negatives(),
+            "audit [negative entries]",
         )
-        self._compare_occupancy("audit", now)
+        self._compare_occupancy(now, "audit")

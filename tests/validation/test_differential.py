@@ -9,7 +9,7 @@ operation.
 
 import pytest
 
-from repro.core.cache import DnsCache, cache_key
+from repro.core.cache import DnsCache, PutResult, cache_key
 from repro.core.renewal import RenewalManager
 from repro.dns.name import Name
 from repro.dns.ranking import Rank
@@ -192,6 +192,61 @@ class TestFuzzerCatchesReinjectedBugs:
         with pytest.raises(DivergenceError) as excinfo:
             run_fuzz(rounds=40, seed=1, ops_per_round=120)
         assert "fuzz round" in str(excinfo.value)
+
+
+class TestDivergenceMessages:
+    """The op text is built only on a divergence; pin it byte for byte."""
+
+    def test_put_message(self, monkeypatch):
+        cache = DifferentialCache(max_entries=4)
+        monkeypatch.setattr(
+            DnsCache, "put",
+            lambda self, *args, **kwargs: PutResult(
+                False, False, False, None, None, None),
+        )
+        with pytest.raises(DivergenceError) as excinfo:
+            cache.put(make_rrset("a.test.", RRType.A, 300.0, "10.0.0.1"),
+                      Rank.AUTH_ANSWER, 1234567.25, refresh=True)
+        op = ("put(a.test./A, rank=AUTH_ANSWER, now=1.23457e+06, "
+              "refresh=True, taint=False)")
+        assert excinfo.value.op == op
+        assert str(excinfo.value) == (
+            f"op #1 {op}: "
+            "primary=PutResult(stored=False, refreshed=False, "
+            "replaced_expired=False, previous_expiry=None, "
+            "previous_published_ttl=None, expires_at=None) "
+            "oracle=PutResult(stored=True, refreshed=False, "
+            "replaced_expired=False, previous_expiry=None, "
+            "previous_published_ttl=None, expires_at=1234867.25)"
+        )
+
+    def test_get_message(self, monkeypatch):
+        cache = DifferentialCache()
+        cache.put(make_rrset("a.test.", RRType.A, 300.0, "10.0.0.1"),
+                  Rank.AUTH_ANSWER, 0.5)
+        monkeypatch.setattr(DnsCache, "get", lambda self, *args: None)
+        with pytest.raises(DivergenceError) as excinfo:
+            cache.get(Name.from_text("a.test."), RRType.A, 2.5)
+        assert excinfo.value.op == "get(a.test./A, now=2.5)"
+        assert str(excinfo.value) == (
+            "op #2 get(a.test./A, now=2.5): primary=None "
+            "oracle=RRset(name=Name('a.test.'), rrtype=<RRType.A: 1>, "
+            "ttl=300.0, records=(ResourceRecord(name=Name('a.test.'), "
+            "rrtype=<RRType.A: 1>, ttl=300.0, data='10.0.0.1', "
+            "rrclass=<RRClass.IN: 1>),))"
+        )
+
+    def test_occupancy_label(self, monkeypatch):
+        cache = DifferentialCache()
+        monkeypatch.setattr(DnsCache, "live_entry_count",
+                            lambda self, now: 99)
+        with pytest.raises(DivergenceError) as excinfo:
+            cache.put_negative(Name.from_text("ghost.test."), RRType.MX,
+                               10.0, 0.25)
+        assert str(excinfo.value) == (
+            "op #1 put_negative(ghost.test./MX, now=10, ttl=0.25) "
+            "[live_entry_count]: primary=99 oracle=0"
+        )
 
 
 class _RecordingBus:
