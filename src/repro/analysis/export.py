@@ -87,12 +87,3 @@ def memory_series_rows(
                 )
             )
     return headers, rows
-
-
-def overhead_rows(mean_overhead: dict[str, float]) -> tuple[tuple[str, ...], list[tuple]]:
-    """Flatten Table 2's per-scheme message overheads."""
-    headers = ("scheme", "message_overhead")
-    rows = [
-        (label, f"{overhead:.6f}") for label, overhead in mean_overhead.items()
-    ]
-    return headers, rows

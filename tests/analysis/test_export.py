@@ -9,7 +9,6 @@ from repro.analysis.export import (
     csv_text,
     failure_grid_rows,
     memory_series_rows,
-    overhead_rows,
     write_csv,
 )
 from repro.analysis.overhead import MemoryOverheadSeries
@@ -59,10 +58,6 @@ class TestExport:
         }
         headers, rows = memory_series_rows(series)
         assert rows == [("DNS", "1.0000", 5, 50)]
-
-    def test_overhead_rows(self):
-        headers, rows = overhead_rows({"Refresh": -0.05})
-        assert rows == [("Refresh", "-0.050000")]
 
     def test_grid_csv_is_parseable_end_to_end(self, tmp_path):
         headers, rows = failure_grid_rows(make_grid())
