@@ -32,6 +32,7 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 
+from repro.dns.errors import NameParseError
 from repro.dns.message import Message, Question, Rcode
 from repro.dns.name import Name
 from repro.dns.records import ResourceRecord, RRset
@@ -322,9 +323,17 @@ def _read_name(data: bytes, offset: int) -> tuple[tuple[str, ...], int]:
 
 
 def _canonical_name(labels: tuple[str, ...]) -> Name:
-    if not labels:
-        return Name.from_text(".")
-    return Name.from_text(".".join(labels) + ".")
+    try:
+        return Name.from_text(".".join(labels) + "." if labels else ".")
+    except NameParseError as error:
+        raise WireFormatError(str(error)) from error
+
+
+def _decode_text(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8", errors="strict")
+    except UnicodeDecodeError as error:
+        raise WireFormatError("rdata is not UTF-8") from error
 
 
 def _read_u16(data: bytes, offset: int) -> tuple[int, int]:
@@ -407,8 +416,8 @@ def _decode_rdata(
             offset += size
         if offset != end:
             raise WireFormatError("TXT rdata mis-framed")
-        return b"".join(chunks).decode("utf-8", errors="strict")
-    return raw.decode("utf-8", errors="strict")
+        return _decode_text(b"".join(chunks))
+    return _decode_text(raw)
 
 
 def _read_records(
